@@ -431,7 +431,6 @@ impl NewParallelRenderer {
                                     shared,
                                     rows.clone(),
                                     &opts,
-                                    profiling,
                                     new_profile,
                                 );
                                 if collect {
@@ -666,7 +665,6 @@ pub(crate) fn composite_chunk_rows(
     shared: &SharedIntermediate<'_>,
     rows: Range<usize>,
     opts: &CompositeOpts,
-    profiling: bool,
     new_profile: &[AtomicU64],
 ) -> u64 {
     for y in rows.clone() {
@@ -675,20 +673,28 @@ pub(crate) fn composite_chunk_rows(
         unsafe { shared.clear_row(y) };
     }
     let mut pixels = 0u64;
+    // A profiling frame (`opts.profile`) runs the same vector kernel with
+    // the modeled-cost bookkeeping compiled in. Each row's work accumulates
+    // locally across the slices and is published once: the chunk owns its
+    // rows, so a per-(row, slice) atomic add would be pure traffic.
+    let mut work = vec![0u64; if opts.profile { rows.len() } else { 0 }];
     for m in 0..fact.slice_count() {
         let k = fact.slice_for_step(m);
-        for y in rows.clone() {
+        for (i, y) in rows.clone().enumerate() {
             // SAFETY: as above — exclusive row access via chunk ownership.
             let mut row = unsafe { shared.row_view(y) };
-            if profiling {
+            if opts.profile {
                 let st =
                     composite_scanline_slice_src(rle, fact, &mut row, k, opts, &mut NullTracer);
                 pixels += st.composited;
-                new_profile[y].fetch_add(st.work, Ordering::Relaxed);
+                work[i] += st.work;
             } else {
                 pixels += composite_scanline_slice_untraced_src(rle, fact, &mut row, k, opts);
             }
         }
+    }
+    for (y, w) in rows.zip(work) {
+        new_profile[y].store(w, Ordering::Relaxed);
     }
     pixels
 }

@@ -624,7 +624,6 @@ impl WorkerCtx<'_, '_> {
                     &inter,
                     rows.clone(),
                     &params.opts,
-                    params.profiling,
                     &slot.new_profile,
                 );
                 if collect {

@@ -604,18 +604,33 @@ fn blend_footprint<C: VoxelCursor, T: Tracer, const STATS: bool>(
         tracer.write(addr, 16);
     }
     tracer.work(WorkKind::Composite, costs::COMPOSITE_PIXEL);
-    if STATS {
-        stats.work += costs::COMPOSITE_PIXEL as u64 + fetched * costs::VOXEL_FETCH as u64;
-        stats.voxels_fetched += fetched;
+    if STATS && opts.profile {
+        tracer.work(WorkKind::Other, costs::PROFILE_PER_PIXEL);
     }
-    stats.composited += 1;
+    charge_pixel::<STATS>(stats, fetched, opts);
 
     if opts.early_termination && pa >= opts.opaque_threshold {
         row.mark_opaque(x, tracer);
     }
-    if STATS && opts.profile {
-        tracer.work(WorkKind::Other, costs::PROFILE_PER_PIXEL);
-        stats.work += costs::PROFILE_PER_PIXEL as u64;
+}
+
+/// Books one composited pixel whose footprint fetched `fetched` voxels.
+/// Every sink charges through this one expression, so the scalar and the
+/// batched kernels cannot drift in what a pixel costs: the §4.2 profile is
+/// the same whichever kernel collected it.
+#[inline(always)]
+pub(crate) fn charge_pixel<const STATS: bool>(
+    stats: &mut ScanlineSliceStats,
+    fetched: u64,
+    opts: &CompositeOpts,
+) {
+    stats.composited += 1;
+    if STATS {
+        stats.work += costs::COMPOSITE_PIXEL as u64 + fetched * costs::VOXEL_FETCH as u64;
+        stats.voxels_fetched += fetched;
+        if opts.profile {
+            stats.work += costs::PROFILE_PER_PIXEL as u64;
+        }
     }
 }
 
@@ -654,8 +669,9 @@ pub(crate) trait FootprintSink {
 }
 
 /// The immediate (scalar) sink: every footprint blends on the spot via the
-/// reference [`blend_footprint`]. This is the only sink the traced and
-/// profiled paths may use — it models per-tap work exactly.
+/// reference [`blend_footprint`]. This is the only sink a real tracer may
+/// use — it reports every tap's load and work event as it happens. Modeled
+/// `stats` need no tracer and are collected by either sink.
 pub(crate) struct BlendNow;
 
 impl FootprintSink for BlendNow {
@@ -682,7 +698,10 @@ impl FootprintSink for BlendNow {
 
 /// Composites slice `k` into intermediate scanline `row` (at image row
 /// `row.y`). Returns per-step statistics; `stats.work` is what the new
-/// algorithm's scanline profile accumulates.
+/// algorithm's scanline profile accumulates. A real tracer gets the scalar
+/// reference epilogue; with [`NullTracer`] the blend dispatches to the
+/// widest vector kernel (see [`crate::simd`]) and the statistics are the
+/// same, so a profiled frame costs what an unprofiled one does.
 pub fn composite_scanline_slice<T: Tracer>(
     enc: &RleEncoding,
     fact: &Factorization,
@@ -691,7 +710,8 @@ pub fn composite_scanline_slice<T: Tracer>(
     opts: &CompositeOpts,
     tracer: &mut T,
 ) -> ScanlineSliceStats {
-    composite_kernel::<_, T, BlendNow, true>(enc, fact, row, k, opts, tracer, &mut BlendNow)
+    let kernel = crate::simd::dispatched_kernel();
+    kernel_for::<_, T, true>(kernel, enc, fact, row, k, opts, tracer)
 }
 
 /// [`composite_scanline_slice`] over either storage layout. The dispatch
@@ -705,24 +725,20 @@ pub fn composite_scanline_slice_src<T: Tracer>(
     opts: &CompositeOpts,
     tracer: &mut T,
 ) -> ScanlineSliceStats {
+    let kernel = crate::simd::dispatched_kernel();
     match src {
-        AxisSrc::Flat(enc) => {
-            composite_kernel::<_, T, BlendNow, true>(enc, fact, row, k, opts, tracer, &mut BlendNow)
-        }
-        AxisSrc::Bricked(enc) => {
-            composite_kernel::<_, T, BlendNow, true>(enc, fact, row, k, opts, tracer, &mut BlendNow)
-        }
+        AxisSrc::Flat(enc) => kernel_for::<_, T, true>(kernel, enc, fact, row, k, opts, tracer),
+        AxisSrc::Bricked(enc) => kernel_for::<_, T, true>(kernel, enc, fact, row, k, opts, tracer),
     }
 }
 
 /// The untraced fast path: identical traversal and pixel arithmetic as
 /// [`composite_scanline_slice`] (output is bit-identical), but monomorphized
 /// with [`NullTracer`] and with the modeled-cost bookkeeping compiled out —
-/// the per-voxel work is only the resample/blend itself. Dispatches the
-/// blend epilogue to the widest vector kernel the host supports (see
-/// [`crate::simd`]); the image is bit-identical either way. Returns the
+/// the per-voxel work is only the resample/blend itself. Returns the
 /// number of pixels composited. The native renderers use this on every
-/// frame that is neither traced nor profiled.
+/// untraced frame that does not collect a profile; profiling frames run the
+/// same vector kernels through [`composite_scanline_slice`].
 pub fn composite_scanline_slice_untraced(
     enc: &RleEncoding,
     fact: &Factorization,
@@ -730,7 +746,8 @@ pub fn composite_scanline_slice_untraced(
     k: usize,
     opts: &CompositeOpts,
 ) -> u64 {
-    untraced_kernel_for(crate::simd::dispatched_kernel(), enc, fact, row, k, opts)
+    let kernel = crate::simd::dispatched_kernel();
+    composite_scanline_slice_untraced_with(kernel, enc, fact, row, k, opts)
 }
 
 /// [`composite_scanline_slice_untraced`] over either storage layout.
@@ -741,14 +758,8 @@ pub fn composite_scanline_slice_untraced_src(
     k: usize,
     opts: &CompositeOpts,
 ) -> u64 {
-    composite_scanline_slice_untraced_with_src(
-        crate::simd::dispatched_kernel(),
-        src,
-        fact,
-        row,
-        k,
-        opts,
-    )
+    let kernel = crate::simd::dispatched_kernel();
+    composite_scanline_slice_untraced_with_src(kernel, src, fact, row, k, opts)
 }
 
 /// [`composite_scanline_slice_untraced`] with an explicit kernel choice,
@@ -762,7 +773,7 @@ pub fn composite_scanline_slice_untraced_with(
     k: usize,
     opts: &CompositeOpts,
 ) -> u64 {
-    untraced_kernel_for(kernel, enc, fact, row, k, opts)
+    kernel_for::<_, _, false>(kernel, enc, fact, row, k, opts, &mut NullTracer).composited
 }
 
 /// [`composite_scanline_slice_untraced_with`] over either storage layout.
@@ -774,27 +785,27 @@ pub fn composite_scanline_slice_untraced_with_src(
     k: usize,
     opts: &CompositeOpts,
 ) -> u64 {
-    match src {
-        AxisSrc::Flat(enc) => untraced_kernel_for(kernel, enc, fact, row, k, opts),
-        AxisSrc::Bricked(enc) => untraced_kernel_for(kernel, enc, fact, row, k, opts),
-    }
+    let t = &mut NullTracer;
+    let stats = match src {
+        AxisSrc::Flat(enc) => kernel_for::<_, _, false>(kernel, enc, fact, row, k, opts, t),
+        AxisSrc::Bricked(enc) => kernel_for::<_, _, false>(kernel, enc, fact, row, k, opts, t),
+    };
+    stats.composited
 }
 
-/// The untraced kernel body, monomorphized per storage layout.
-fn untraced_kernel_for<'v, E: SliceSrc<'v>>(
+/// Picks the footprint sink for one `(scanline, slice)` step, monomorphized
+/// per storage layout: the lane-batching sink of `kernel` when nothing
+/// observes individual taps (`T::TRACING == false`), the scalar reference
+/// otherwise — also for a `kernel` the host cannot run.
+fn kernel_for<'v, E: SliceSrc<'v>, T: Tracer, const STATS: bool>(
     kernel: crate::simd::SimdKernel,
     enc: E,
     fact: &Factorization,
     row: &mut RowView<'_>,
     k: usize,
     opts: &CompositeOpts,
-) -> u64 {
-    use crate::simd::SimdKernel;
-    let kernel = if kernel.available() {
-        kernel
-    } else {
-        SimdKernel::Scalar
-    };
+    tracer: &mut T,
+) -> ScanlineSliceStats {
     // The vector sink lives on the stack, per call. A reused thread-local
     // sink was tried and measured slower overall: the opaque TLS access
     // forced this function apart into separately-compiled pieces, and the
@@ -802,30 +813,12 @@ fn untraced_kernel_for<'v, E: SliceSrc<'v>>(
     // the benchmark host, dwarfing the ~300 B of per-call zero-init the
     // TLS saved. Keeping both kernels inlined here keeps both fast.
     #[cfg(feature = "simd")]
-    if kernel.lanes() > 1 {
+    if !T::TRACING && kernel.lanes() > 1 && kernel.available() {
         let mut sink = crate::simd::BatchSink::new(kernel);
-        return composite_kernel::<_, NullTracer, _, false>(
-            enc,
-            fact,
-            row,
-            k,
-            opts,
-            &mut NullTracer,
-            &mut sink,
-        )
-        .composited;
+        return composite_kernel::<_, T, _, STATS>(enc, fact, row, k, opts, tracer, &mut sink);
     }
-    debug_assert_eq!(kernel, SimdKernel::Scalar);
-    composite_kernel::<_, NullTracer, BlendNow, false>(
-        enc,
-        fact,
-        row,
-        k,
-        opts,
-        &mut NullTracer,
-        &mut BlendNow,
-    )
-    .composited
+    let _ = kernel;
+    composite_kernel::<_, T, BlendNow, STATS>(enc, fact, row, k, opts, tracer, &mut BlendNow)
 }
 
 /// The compositing kernel, monomorphized over the tracer, the footprint
@@ -1509,6 +1502,78 @@ mod tests {
             if let Some((flo, fhi)) = fb {
                 let (blo, bhi) = bb.expect("bricked bounds cover flat bounds");
                 assert!(blo <= flo && bhi >= fhi);
+            }
+        }
+    }
+
+    /// The batch sink under `STATS = true` books exactly what the scalar
+    /// reference books, per `(row, slice)` step and on every vector kernel
+    /// the host runs: the §4.2 profile does not depend on which kernel
+    /// collected it. The scene mixes odd widths, 1–2 voxel runs (batches
+    /// shorter than a lane group), a fully opaque row (early termination
+    /// mid-batch) and an all-transparent band; brick extent 7 puts seams
+    /// inside runs.
+    #[cfg(feature = "simd")]
+    #[test]
+    fn batch_sink_stats_equal_the_scalar_reference_on_every_kernel() {
+        use crate::simd::{BatchSink, SimdKernel};
+        fn sweep<'v, E: SliceSrc<'v>>(kernel: SimdKernel, enc: E, fact: &Factorization) {
+            for profile in [false, true] {
+                let opts = CompositeOpts {
+                    profile,
+                    ..Default::default()
+                };
+                let mut img_s = IntermediateImage::new(fact.inter_w, fact.inter_h);
+                let mut img_v = IntermediateImage::new(fact.inter_w, fact.inter_h);
+                let mut total = ScanlineSliceStats::default();
+                for y in 0..fact.inter_h {
+                    for m in 0..fact.slice_count() {
+                        let k = fact.slice_for_step(m);
+                        let scalar = composite_kernel::<_, _, _, true>(
+                            enc,
+                            fact,
+                            &mut img_s.row_view(y),
+                            k,
+                            &opts,
+                            &mut NullTracer,
+                            &mut BlendNow,
+                        );
+                        let batched = composite_kernel::<_, _, _, true>(
+                            enc,
+                            fact,
+                            &mut img_v.row_view(y),
+                            k,
+                            &opts,
+                            &mut NullTracer,
+                            &mut BatchSink::new(kernel),
+                        );
+                        assert_eq!(batched, scalar, "{}: row {y} slice {k}", kernel.name());
+                        total.merge(&scalar);
+                    }
+                }
+                assert!(total.work > 0 && total.voxels_fetched > 0);
+            }
+        }
+        let dims = [17, 19, 13];
+        let c = vol_from(dims, |x, y, _| match (y, x % 7) {
+            (5, _) => 255,
+            (12..=14, _) => 0,
+            (_, 0) => 90,
+            (_, 3 | 4) => 140,
+            _ => 0,
+        });
+        let enc_all = swr_volume::EncodedVolume::encode_with_threshold(&c, 1);
+        let bricked = swr_volume::BrickedVolume::from_encoded(&enc_all, 7);
+        let kernels = [SimdKernel::Sse2, SimdKernel::Avx2, SimdKernel::Neon];
+        for kernel in kernels.into_iter().filter(|k| k.available()) {
+            for view in [
+                ViewSpec::new(dims),
+                ViewSpec::new(dims).rotate_x(0.31).rotate_y(0.47),
+                ViewSpec::new(dims).rotate_y(0.29).with_perspective(51.0),
+            ] {
+                let fact = swr_geom::Factorization::from_view(&view);
+                sweep(kernel, enc_all.for_axis(fact.principal), &fact);
+                sweep(kernel, bricked.for_axis(fact.principal), &fact);
             }
         }
     }

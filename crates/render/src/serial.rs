@@ -157,9 +157,10 @@ impl SerialRenderer {
         let clock = FrameClock::new();
         let mut log = WorkerLog::new(0, 64);
         let profiling = profile.is_some();
-        // Untraced, unprofiled frames take the fast kernel: same traversal
-        // and pixel arithmetic (bit-identical image), no modeled-cost
-        // bookkeeping. Frame-level telemetry is still recorded.
+        // Untraced, unprofiled frames compile the modeled-cost bookkeeping
+        // out. An untraced profiled frame keeps it but runs the same vector
+        // kernel; only a real tracer takes the scalar reference. The image
+        // is bit-identical in all three.
         let fast = !T::TRACING && !profiling && !opts.profile;
 
         let inter = self.prepare_intermediate(&fact);

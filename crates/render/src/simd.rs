@@ -37,9 +37,12 @@
 //! within one `(scanline, slice)` step the traversal only moves forward and
 //! never re-reads a batched pixel's state, so deferral is invisible too.
 //!
-//! Only the *untraced* fast path dispatches here: the traced/profiled
-//! kernels model per-tap work and memory loads exactly, which a batched
-//! vector blend cannot mimic, so they stay scalar by design.
+//! Every *untraced* caller dispatches here, profiling frames included: the
+//! modeled cost of a pixel depends only on which of its taps fetched a
+//! voxel, which the gather already knows, so the sink books `work` and
+//! `voxels_fetched` exactly as the scalar kernel does. Only a real tracer
+//! stays scalar by design: it observes every tap's load as it happens,
+//! which a deferred, batched blend cannot mimic.
 //!
 //! # Dispatch
 //!
@@ -50,7 +53,9 @@
 //! pins the scalar reference kernel for A/B comparisons.
 
 #[cfg(feature = "simd")]
-use crate::composite::{CompositeOpts, FootprintSink, ScanlineSliceStats, VoxelCursor};
+use crate::composite::{
+    charge_pixel, CompositeOpts, FootprintSink, ScanlineSliceStats, VoxelCursor,
+};
 #[cfg(feature = "simd")]
 use crate::image::{IPixel, RowView};
 #[cfg(feature = "simd")]
@@ -198,8 +203,9 @@ fn pack_tap(v: Option<RgbaVoxel>) -> u32 {
 
 /// Lane-batching sink for the untraced compositing kernel: per composited
 /// pixel it gathers the four tap words and weights (cursor queries stay
-/// scalar and in reference order), and every [`MAX_LANES`] pixels — or at
-/// scanline end — flushes the resample/blend arithmetic through the
+/// scalar and in reference order) and, under `STATS`, books the pixel's
+/// modeled cost from the taps that fetched. Every [`MAX_LANES`] pixels — or
+/// at scanline end — it flushes the resample/blend arithmetic through the
 /// selected vector kernel, with a scalar epilogue for the remainder lanes.
 #[cfg(feature = "simd")]
 pub(crate) struct BatchSink {
@@ -318,7 +324,7 @@ impl FootprintSink for BatchSink {
         stats: &mut ScanlineSliceStats,
         tracer: &mut T,
     ) {
-        debug_assert!(!T::TRACING && !STATS, "only the untraced path batches");
+        debug_assert!(!T::TRACING, "only the untraced path batches");
         debug_assert!(self.n < MAX_LANES);
         // `% MAX_LANES` is a no-op under the flush invariant (n < MAX_LANES
         // on entry — a full batch flushed below) but lets the compiler drop
@@ -331,31 +337,36 @@ impl FootprintSink for BatchSink {
         // in a transparent run stores a zero tap word.
         let mut w = [0f32; 4];
         let mut tp = [0u32; 4];
+        let mut fetched = 0u64;
+        let mut tap = |v: Option<RgbaVoxel>| {
+            fetched += v.is_some() as u64;
+            pack_tap(v)
+        };
         if let Some(c) = cur_a.as_mut() {
             if wgts[0] > 0.0 {
                 w[0] = wgts[0];
-                tp[0] = pack_tap(c.query(i0, tracer));
+                tp[0] = tap(c.query(i0, tracer));
             }
             if wgts[1] > 0.0 {
                 w[1] = wgts[1];
-                tp[1] = pack_tap(c.query(i0 + 1, tracer));
+                tp[1] = tap(c.query(i0 + 1, tracer));
             }
         }
         if let Some(c) = cur_b.as_mut() {
             if wgts[2] > 0.0 {
                 w[2] = wgts[2];
-                tp[2] = pack_tap(c.query(i0, tracer));
+                tp[2] = tap(c.query(i0, tracer));
             }
             if wgts[3] > 0.0 {
                 w[3] = wgts[3];
-                tp[3] = pack_tap(c.query(i0 + 1, tracer));
+                tp[3] = tap(c.query(i0 + 1, tracer));
             }
         }
         for t in 0..4 {
             self.w[t][l] = w[t];
             self.tap[t][l] = tp[t];
         }
-        stats.composited += 1;
+        charge_pixel::<STATS>(stats, fetched, opts);
         self.n = l + 1;
         if self.n == MAX_LANES {
             self.flush(row, opts);

@@ -107,7 +107,9 @@ fn config_ablations_do_not_change_pixels() {
 /// orthographic and perspective projections, compositing every (scanline,
 /// slice) pair with the traced kernel and the untraced kernel produces
 /// bit-identical intermediate images, and warping each produces bit-identical
-/// final images.
+/// final images. The traced side runs under a real tracer (`CountingTracer`),
+/// which pins it to the scalar reference epilogue: with `NullTracer` the
+/// stats entry point batches too and the comparison would be vacuous.
 #[test]
 fn untraced_kernels_match_traced_kernels_in_both_projections() {
     use shearwarp::render::{
@@ -224,11 +226,37 @@ fn frame_level_voxel_fetch_counts_match_the_tracer() {
 mod simd_sweep {
     use super::*;
     use shearwarp::render::{
-        composite_scanline_slice_untraced_with, warp_full, CompositeOpts, IntermediateImage,
-        NullTracer, SimdKernel,
+        composite_scanline_slice_src, composite_scanline_slice_untraced_with, costs,
+        dispatched_kernel, set_force_scalar, warp_full, AxisSrc, CompositeOpts, CountingTracer,
+        IntermediateImage, NullTracer, ScanlineSliceStats, SimdKernel,
     };
     use shearwarp::volume::RgbaVoxel;
-    use shearwarp::volume::{ClassifiedVolume, EncodedVolume};
+    use shearwarp::volume::{BrickedVolume, ClassifiedVolume, EncodedVolume};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Holds the process-wide kernel override for one test: the tests that
+    /// flip it run one at a time, and the state they found is restored, so
+    /// a `SWR_FORCE_SCALAR=1` run stays scalar for every other test.
+    struct KernelOverride {
+        _exclusive: MutexGuard<'static, ()>,
+        was_scalar: bool,
+    }
+
+    impl KernelOverride {
+        fn take() -> Self {
+            static EXCLUSIVE: Mutex<()> = Mutex::new(());
+            KernelOverride {
+                _exclusive: EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner()),
+                was_scalar: dispatched_kernel() == SimdKernel::Scalar,
+            }
+        }
+    }
+
+    impl Drop for KernelOverride {
+        fn drop(&mut self) {
+            set_force_scalar(self.was_scalar);
+        }
+    }
 
     /// The vector kernels the current build + host can actually run.
     fn vector_kernels() -> Vec<SimdKernel> {
@@ -259,6 +287,19 @@ mod simd_sweep {
         (img, composited)
     }
 
+    /// Asserts two intermediate images are the same pixels, bit for bit.
+    fn assert_same_pixels(got: &IntermediateImage, want: &IntermediateImage, label: &str) {
+        for y in 0..want.height() as isize {
+            for x in 0..want.width() as isize {
+                assert_eq!(
+                    got.get(x, y),
+                    want.get(x, y),
+                    "{label}: intermediate pixel ({x},{y})"
+                );
+            }
+        }
+    }
+
     /// Asserts a vector kernel reproduces the scalar frame bit for bit:
     /// every intermediate pixel, the composited-pixel count, and the warped
     /// final image.
@@ -274,16 +315,7 @@ mod simd_sweep {
                 "{label}/{}: composited count diverged",
                 kernel.name()
             );
-            for y in 0..fact.inter_h as isize {
-                for x in 0..fact.inter_w as isize {
-                    assert_eq!(
-                        img.get(x, y),
-                        scalar_img.get(x, y),
-                        "{label}/{}: intermediate pixel ({x},{y})",
-                        kernel.name()
-                    );
-                }
-            }
+            assert_same_pixels(&img, &scalar_img, &format!("{label}/{}", kernel.name()));
             let mut final_scalar = FinalImage::new(fact.final_w, fact.final_h);
             let mut final_simd = FinalImage::new(fact.final_w, fact.final_h);
             warp_full(&scalar_img, &fact, &mut final_scalar, &mut NullTracer);
@@ -320,22 +352,36 @@ mod simd_sweep {
     /// flush after the first slice).
     #[test]
     fn simd_matches_scalar_on_short_runs_odd_widths_and_opaque_rows() {
+        let (enc, dims) = edge_scene();
+        let ortho = ViewSpec::new(dims).rotate_x(0.31).rotate_y(0.47);
+        let persp = ViewSpec::new(dims)
+            .rotate_y(0.29)
+            .with_perspective(dims[0] as f64 * 3.0);
+        assert_kernels_bit_identical(&enc, &ortho, "edge ortho");
+        assert_kernels_bit_identical(&enc, &persp, "edge persp");
+        // Head-on: integer shear → single-tap footprints and a run layout
+        // that starts batches at lane-unaligned x positions.
+        assert_kernels_bit_identical(&enc, &ViewSpec::new(dims), "edge head-on");
+    }
+
+    /// The tail-handling scene: odd dimensions, a fully opaque row, runs of
+    /// one and two stored voxels, and a band of all-transparent rows.
+    fn edge_scene() -> (EncodedVolume, [usize; 3]) {
         let dims = [17usize, 19, 13];
         let mut vox = Vec::with_capacity(dims[0] * dims[1] * dims[2]);
         for z in 0..dims[2] {
             for y in 0..dims[1] {
                 for x in 0..dims[0] {
                     // Row 5: fully opaque → saturates after the front slice.
-                    // Elsewhere: isolated runs of one (x ≡ 0 mod 7) and two
-                    // (x ≡ 3, 4 mod 7) stored voxels between transparent gaps.
-                    let a: u8 = if y == 5 {
-                        255
-                    } else {
-                        match x % 7 {
-                            0 => 90,
-                            3 | 4 => 140,
-                            _ => 0,
-                        }
+                    // Rows 12–14: empty. Elsewhere: isolated runs of one
+                    // (x ≡ 0 mod 7) and two (x ≡ 3, 4 mod 7) stored voxels
+                    // between transparent gaps.
+                    let a: u8 = match (y, x % 7) {
+                        (5, _) => 255,
+                        (12..=14, _) => 0,
+                        (_, 0) => 90,
+                        (_, 3 | 4) => 140,
+                        _ => 0,
                     };
                     let c = (a / 2).saturating_add((x + y + z) as u8 % 60);
                     vox.push(RgbaVoxel {
@@ -348,23 +394,14 @@ mod simd_sweep {
             }
         }
         let classified = ClassifiedVolume::from_raw(dims, vox);
-        let enc = EncodedVolume::encode_with_threshold(&classified, 1);
-        let ortho = ViewSpec::new(dims).rotate_x(0.31).rotate_y(0.47);
-        let persp = ViewSpec::new(dims)
-            .rotate_y(0.29)
-            .with_perspective(dims[0] as f64 * 3.0);
-        assert_kernels_bit_identical(&enc, &ortho, "edge ortho");
-        assert_kernels_bit_identical(&enc, &persp, "edge persp");
-        // Head-on: integer shear → single-tap footprints and a run layout
-        // that starts batches at lane-unaligned x positions.
-        assert_kernels_bit_identical(&enc, &ViewSpec::new(dims), "edge head-on");
+        (EncodedVolume::encode_with_threshold(&classified, 1), dims)
     }
 
     /// The runtime override must swap kernels without changing a single
     /// pixel of a full render.
     #[test]
     fn force_scalar_override_does_not_change_renders() {
-        use shearwarp::render::set_force_scalar;
+        let _override = KernelOverride::take();
         let (enc, dims) = dataset(Phantom::CtHead, 24);
         let view = ViewSpec::new(dims).rotate_y(0.7).rotate_x(0.1);
         set_force_scalar(true);
@@ -372,6 +409,150 @@ mod simd_sweep {
         set_force_scalar(false);
         let dispatched = SerialRenderer::new().render(&enc, &view);
         assert_eq!(scalar, dispatched);
+    }
+
+    /// Per-row modeled statistics of a whole frame through the stats entry
+    /// point, plus the composite-kind cycles the tracer saw.
+    fn row_stats<T: Tracer + Default>(
+        src: AxisSrc<'_>,
+        fact: &Factorization,
+        opts: &CompositeOpts,
+    ) -> (Vec<ScanlineSliceStats>, IntermediateImage, T) {
+        let mut img = IntermediateImage::new(fact.inter_w, fact.inter_h);
+        let mut tracer = T::default();
+        let mut rows = vec![ScanlineSliceStats::default(); fact.inter_h];
+        for (y, stats) in rows.iter_mut().enumerate() {
+            for m in 0..fact.slice_count() {
+                let k = fact.slice_for_step(m);
+                let mut row = img.row_view(y);
+                stats.merge(&composite_scanline_slice_src(
+                    src,
+                    fact,
+                    &mut row,
+                    k,
+                    opts,
+                    &mut tracer,
+                ));
+            }
+        }
+        (rows, img, tracer)
+    }
+
+    /// The §4.2 work profile is a by-product of the production kernel: with
+    /// `NullTracer` the stats entry point batches through the dispatched
+    /// vector kernel, and per row its `work`, `voxels_fetched` and
+    /// `composited` (and every pixel) must equal the scalar reference —
+    /// `CountingTracer`, which no kernel choice can move off `BlendNow` —
+    /// flat and bricked, parallel and perspective, on the MRI phantom and on
+    /// the tail-handling scene, with the dispatch at its widest and pinned
+    /// scalar. (`swr-render`'s unit tests run the same comparison on every
+    /// narrower kernel, which no public entry point selects.)
+    #[test]
+    fn work_profile_rows_match_the_scalar_reference() {
+        let _override = KernelOverride::take();
+        let (mri, mri_dims) = dataset(Phantom::MriBrain, 24);
+        let (edge, edge_dims) = edge_scene();
+        for (label, enc, dims) in [("mri", &mri, mri_dims), ("edge", &edge, edge_dims)] {
+            let bricked = BrickedVolume::from_encoded(enc, 7);
+            let views = [
+                ("head-on", ViewSpec::new(dims)),
+                ("ortho", ViewSpec::new(dims).rotate_x(0.31).rotate_y(0.47)),
+                (
+                    "persp",
+                    ViewSpec::new(dims)
+                        .rotate_y(0.29)
+                        .with_perspective(dims[0] as f64 * 3.0),
+                ),
+            ];
+            for (vlabel, view) in views {
+                let fact = Factorization::from_view(&view);
+                let sources = [
+                    ("flat", AxisSrc::Flat(enc.for_axis(fact.principal))),
+                    (
+                        "bricked",
+                        AxisSrc::Bricked(bricked.for_axis(fact.principal)),
+                    ),
+                ];
+                for (slabel, src) in sources {
+                    for profile in [false, true] {
+                        let opts = CompositeOpts {
+                            profile,
+                            ..Default::default()
+                        };
+                        let (want, want_img, seen) = row_stats::<CountingTracer>(src, &fact, &opts);
+                        // The reference's own books balance against the
+                        // tracer: nothing but pixels and fetches is charged
+                        // to the composite kind.
+                        let pixels: u64 = want.iter().map(|r| r.composited).sum();
+                        let fetches: u64 = want.iter().map(|r| r.voxels_fetched).sum();
+                        assert_eq!(
+                            seen.composite_cycles,
+                            pixels * costs::COMPOSITE_PIXEL as u64
+                                + fetches * costs::VOXEL_FETCH as u64
+                        );
+                        for force in [false, true] {
+                            set_force_scalar(force);
+                            let (got, got_img, _) = row_stats::<NullTracer>(src, &fact, &opts);
+                            for y in 0..fact.inter_h {
+                                assert_eq!(
+                                    got[y], want[y],
+                                    "{label}/{vlabel}/{slabel} profile={profile} \
+                                     force_scalar={force}: row {y}"
+                                );
+                            }
+                            let at = format!("{label}/{vlabel}/{slabel} force_scalar={force}");
+                            assert_same_pixels(&got_img, &want_img, &at);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One level up: the profile the renderers harvest does not depend on
+    /// the kernel that collected it. `NewParallelRenderer::profile()` (flat
+    /// and bricked, several thread counts, so chunking and stealing vary)
+    /// and `SerialRenderer::render_profiled` return the same per-scanline
+    /// work with the dispatch at its widest and pinned scalar — and the new
+    /// renderer's profile is the serial one inside the occupied band.
+    #[test]
+    fn renderer_profiles_do_not_depend_on_the_kernel() {
+        let _override = KernelOverride::take();
+        let (enc, dims) = dataset(Phantom::MriBrain, 28);
+        let bricked = BrickedVolume::from_encoded(&enc, 8);
+        let persp = ViewSpec::new(dims)
+            .rotate_y(0.3)
+            .with_perspective(dims[0] as f64 * 2.5);
+        for view in [ViewSpec::new(dims).rotate_x(0.2).rotate_y(0.6), persp] {
+            let profiles = |force: bool| {
+                set_force_scalar(force);
+                let mut serial = Vec::new();
+                SerialRenderer::new().render_profiled(&enc, &view, &mut NullTracer, &mut serial);
+                let mut out = vec![serial];
+                for procs in [1, 2, 3] {
+                    for src in [VolumeSrc::Flat(&enc), VolumeSrc::Bricked(&bricked)] {
+                        let mut r = NewParallelRenderer::new(ParallelConfig::with_procs(procs));
+                        let (_, stats) = r
+                            .try_render_with_stats_src(src, &view)
+                            .expect("clean frame");
+                        assert!(stats.profiled);
+                        out.push(r.profile().expect("first frame profiles").to_vec());
+                    }
+                }
+                out
+            };
+            let vector = profiles(false);
+            let scalar = profiles(true);
+            assert_eq!(vector, scalar);
+            // Serial slices visit a row only inside their own footprint, the
+            // new renderer only inside the occupied band; where both visit,
+            // the flat profiles are the same numbers.
+            let (serial, new_flat) = (&vector[0], &vector[1]);
+            assert!(new_flat.iter().any(|&w| w > 0));
+            for (y, &w) in new_flat.iter().enumerate().filter(|(_, &w)| w > 0) {
+                assert_eq!(w, serial[y], "row {y}");
+            }
+        }
     }
 }
 
