@@ -61,12 +61,11 @@ fn bench_rle_encode(c: &mut Criterion) {
 }
 
 fn bench_classification(c: &mut Criterion) {
-    use swr_volume::{classify_fast, classify_with_field, GradientField};
+    use swr_volume::{classify_with_field, GradientField};
     let vol = Phantom::MriBrain.generate(Phantom::MriBrain.paper_dims(48), 42);
     let tf = Phantom::MriBrain.default_transfer();
     let mut g = c.benchmark_group("classification_48");
     g.bench_function("full", |b| b.iter(|| classify(&vol, &tf)));
-    g.bench_function("minmax_fast", |b| b.iter(|| classify_fast(&vol, &tf)));
     let field = GradientField::compute(&vol);
     g.bench_function("relight_from_field", |b| {
         b.iter(|| classify_with_field(&vol, &field, &tf))

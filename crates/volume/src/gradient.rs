@@ -6,12 +6,15 @@
 //! 8 bits for use as a transfer-function axis.
 
 use crate::grid::Volume;
+use std::ops::Range;
 use swr_geom::Vec3;
 
 /// Gradient vector at voxel `(x, y, z)` by central differences.
 ///
 /// The scale is "sample units per voxel"; border voxels use one-sided
-/// differences implicitly via clamping.
+/// differences implicitly via clamping. This is the per-voxel *definition*;
+/// whole-volume passes take the same differences a row at a time from
+/// [`RowStencil`], which the tests hold equal to this function.
 #[inline]
 pub fn gradient_at(vol: &Volume, x: usize, y: usize, z: usize) -> Vec3 {
     let (xi, yi, zi) = (x as isize, y as isize, z as isize);
@@ -21,6 +24,55 @@ pub fn gradient_at(vol: &Volume, x: usize, y: usize, z: usize) -> Vec3 {
     Vec3::new(gx * 0.5, gy * 0.5, gz * 0.5)
 }
 
+/// The samples the central-difference stencil reads along one x-row: the
+/// row itself and its `y∓1` / `z∓1` neighbour rows, clamped at the volume
+/// faces once per row instead of once per voxel.
+pub(crate) struct RowStencil<'a> {
+    row: &'a [u8],
+    /// `[y-1, y+1]` rows.
+    y: [&'a [u8]; 2],
+    /// `[z-1, z+1]` rows.
+    z: [&'a [u8]; 2],
+}
+
+impl<'a> RowStencil<'a> {
+    fn new(vol: &'a Volume, y: usize, z: usize) -> Self {
+        let [nx, ny, nz] = vol.dims();
+        let row = |y: usize, z: usize| &vol.data()[(z * ny + y) * nx..][..nx];
+        RowStencil {
+            row: row(y, z),
+            y: [row(y.saturating_sub(1), z), row((y + 1).min(ny - 1), z)],
+            z: [row(y, z.saturating_sub(1)), row(y, (z + 1).min(nz - 1))],
+        }
+    }
+
+    /// The row's own samples.
+    #[inline]
+    pub(crate) fn samples(&self) -> &'a [u8] {
+        self.row
+    }
+
+    /// [`gradient_at`] for voxel `x` of the row. Differences of 8-bit
+    /// samples are exact as integers and as `f64`s, so the two agree bit
+    /// for bit.
+    #[inline]
+    pub(crate) fn gradient(&self, x: usize) -> Vec3 {
+        let half_diff = |hi: u8, lo: u8| f64::from(i32::from(hi) - i32::from(lo)) * 0.5;
+        let last = self.row.len() - 1;
+        Vec3::new(
+            half_diff(self.row[(x + 1).min(last)], self.row[x.saturating_sub(1)]),
+            half_diff(self.y[1][x], self.y[0][x]),
+            half_diff(self.z[1][x], self.z[0][x]),
+        )
+    }
+}
+
+/// The stencils of every row of slices `zs`, in storage order (y fastest).
+pub(crate) fn row_stencils(vol: &Volume, zs: Range<usize>) -> impl Iterator<Item = RowStencil<'_>> {
+    let ny = vol.dims()[1];
+    zs.flat_map(move |z| (0..ny).map(move |y| RowStencil::new(vol, y, z)))
+}
+
 /// Gradient magnitude quantized to 0–255.
 ///
 /// The largest possible central-difference magnitude for 8-bit data is
@@ -28,21 +80,33 @@ pub fn gradient_at(vol: &Volume, x: usize, y: usize, z: usize) -> Vec3 {
 /// the gradient transfer-function axis is usable.
 #[inline]
 pub fn gradient_magnitude_u8(g: Vec3) -> u8 {
+    magnitude_u8(g.length())
+}
+
+/// [`gradient_magnitude_u8`] of a gradient whose length the caller already
+/// has (shading needs the same square root).
+#[inline]
+pub(crate) fn magnitude_u8(len: f64) -> u8 {
     const MAX_MAG: f64 = 220.836_477_965; // 127.5 * sqrt(3)
-    let m = (g.length() / MAX_MAG * 255.0).round();
-    m.clamp(0.0, 255.0) as u8
+    round_u8((len / MAX_MAG * 255.0).clamp(0.0, 255.0))
+}
+
+/// `v.round() as u8` for `v` in `[0, 255]` (or NaN, which gives 0) without
+/// the libm call `round` is on baseline x86-64: truncation is exact there,
+/// and so is the fraction it leaves behind.
+#[inline]
+pub(crate) fn round_u8(v: f64) -> u8 {
+    debug_assert!(v.is_nan() || (0.0..=255.0).contains(&v), "round_u8({v})");
+    let floor = v as u8;
+    floor + u8::from(v - f64::from(floor) >= 0.5)
 }
 
 /// Precomputed per-voxel gradient magnitudes for a whole volume.
 pub fn gradient_magnitudes(vol: &Volume) -> Vec<u8> {
-    let [nx, ny, nz] = vol.dims();
-    let mut out = Vec::with_capacity(nx * ny * nz);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                out.push(gradient_magnitude_u8(gradient_at(vol, x, y, z)));
-            }
-        }
+    let [nx, _, nz] = vol.dims();
+    let mut out = Vec::with_capacity(vol.len());
+    for st in row_stencils(vol, 0..nz) {
+        out.extend((0..nx).map(|x| magnitude_u8(st.gradient(x).length())));
     }
     out
 }
@@ -113,20 +177,18 @@ impl GradientField {
     /// Computes the field for a raw volume.
     pub fn compute(vol: &Volume) -> Self {
         let [nx, ny, nz] = vol.dims();
-        let mut normals = Vec::with_capacity(nx * ny * nz);
-        let mut magnitudes = Vec::with_capacity(nx * ny * nz);
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let g = gradient_at(vol, x, y, z);
-                    magnitudes.push(gradient_magnitude_u8(g));
-                    let len = g.length();
-                    normals.push(if len < 1e-9 {
-                        FLAT_NORMAL
-                    } else {
-                        encode_normal_oct16(-g / len)
-                    });
-                }
+        let mut normals = Vec::with_capacity(vol.len());
+        let mut magnitudes = Vec::with_capacity(vol.len());
+        for st in row_stencils(vol, 0..nz) {
+            for x in 0..nx {
+                let g = st.gradient(x);
+                let len = g.length();
+                magnitudes.push(magnitude_u8(len));
+                normals.push(if len < 1e-9 {
+                    FLAT_NORMAL
+                } else {
+                    encode_normal_oct16(-g / len)
+                });
             }
         }
         GradientField {
@@ -249,6 +311,43 @@ mod tests {
             }
         }
         assert_eq!(f.storage_bytes(), v.len() * 3);
+    }
+
+    #[test]
+    fn round_u8_is_round_on_its_domain() {
+        // Every integer and half-integer of [0, 255] with its two f64
+        // neighbours — the only places truncate-and-compare could part from
+        // `round()` — plus NaN.
+        for half_steps in 0..=510u32 {
+            let v = f64::from(half_steps) * 0.5;
+            let below = f64::from_bits(v.to_bits().saturating_sub(1));
+            let above = f64::from_bits(v.to_bits() + 1).min(255.0);
+            for x in [below, v, above] {
+                assert_eq!(round_u8(x), x.round() as u8, "{x:e}");
+            }
+        }
+        assert_eq!(round_u8(f64::NAN), 0);
+        assert_eq!(round_u8(-0.0), 0);
+    }
+
+    #[test]
+    fn row_stencil_equals_the_per_voxel_definition() {
+        // Every voxel, 1-wide axes included: the clamped rows must pick the
+        // very samples `get_clamped` picks.
+        for dims in [[7, 5, 4], [1, 5, 4], [7, 1, 4], [7, 5, 1], [1, 1, 1]] {
+            let v = Volume::from_fn(dims, |x, y, z| (x * 37 + y * 91 + z * 53 + x * y * z) as u8);
+            let mut stencils = row_stencils(&v, 0..dims[2]);
+            for z in 0..dims[2] {
+                for y in 0..dims[1] {
+                    let st = stencils.next().unwrap();
+                    assert_eq!(st.samples(), &v.data()[v.index(0, y, z)..][..dims[0]]);
+                    for x in 0..dims[0] {
+                        assert_eq!(st.gradient(x), gradient_at(&v, x, y, z), "{dims:?}");
+                    }
+                }
+            }
+            assert!(stencils.next().is_none());
+        }
     }
 
     #[test]

@@ -36,9 +36,7 @@ pub use brick::{
     Brick, BrickCache, BrickCacheStats, BrickHandle, BrickMeta, BrickedEncoding, BrickedVolume,
     DEFAULT_BRICK_EXTENT,
 };
-pub use classify::{
-    classify, classify_fast, classify_parallel, classify_with_field, ClassifiedVolume, RgbaVoxel,
-};
+pub use classify::{classify, classify_parallel, classify_with_field, ClassifiedVolume, RgbaVoxel};
 pub use gradient::GradientField;
 pub use grid::Volume;
 pub use phantom::Phantom;

@@ -139,43 +139,37 @@ impl RleEncoding {
         let mut scanline_run_start = Vec::with_capacity(n_k * n_j + 1);
         let mut scanline_voxel_start = Vec::with_capacity(n_k * n_j + 1);
 
-        // Object coordinates from standard coordinates.
-        let mut obj = [0usize; 3];
+        // A scanline is a strided walk through the x-fastest voxel array:
+        // standard axis `i` advances by object axis `perm[0]`'s stride.
+        let obj_stride = [1, dims[0], dims[0] * dims[1]];
+        let [s_i, s_j, s_k] = perm.map(|a| obj_stride[a]);
+        let data = vol.voxels();
         for k in 0..n_k {
             for j in 0..n_j {
                 scanline_run_start.push(runs.len() as u32);
                 scanline_voxel_start.push(voxels.len() as u32);
-                obj[perm[1]] = j;
-                obj[perm[2]] = k;
+                let base = k * s_k + j * s_j;
+                let at = |i: usize| data[base + i * s_i];
 
                 // Walk the scanline emitting alternating runs.
                 let mut i = 0;
                 loop {
                     // Transparent run.
                     let t_start = i;
-                    while i < n_i {
-                        obj[perm[0]] = i;
-                        if vol.get(obj[0], obj[1], obj[2]).a >= threshold {
-                            break;
-                        }
+                    while i < n_i && at(i).a < threshold {
                         i += 1;
                     }
-                    push_split_run(&mut runs, i - t_start, true);
+                    push_split_run(&mut runs, i - t_start);
                     if i >= n_i {
                         break;
                     }
                     // Non-transparent run.
                     let o_start = i;
-                    while i < n_i {
-                        obj[perm[0]] = i;
-                        let v = vol.get(obj[0], obj[1], obj[2]);
-                        if v.a < threshold {
-                            break;
-                        }
-                        voxels.push(v);
+                    while i < n_i && at(i).a >= threshold {
+                        voxels.push(at(i));
                         i += 1;
                     }
-                    push_split_run(&mut runs, i - o_start, false);
+                    push_split_run(&mut runs, i - o_start);
                     if i >= n_i {
                         break;
                     }
@@ -273,7 +267,7 @@ impl RleEncoding {
 /// Pushes a run of `len`, splitting into ≤255 chunks interleaved with
 /// zero-length runs of the other kind. Always emits at least one entry so the
 /// transparent/non-transparent alternation stays in phase.
-fn push_split_run(runs: &mut Vec<u8>, len: usize, _transparent: bool) {
+fn push_split_run(runs: &mut Vec<u8>, len: usize) {
     let mut remaining = len;
     loop {
         let chunk = remaining.min(255);

@@ -65,22 +65,6 @@ impl Ramp {
         }
         t
     }
-
-    /// Maximum of the ramp over the input interval `[lo, hi]`.
-    ///
-    /// Piecewise-linear, so the maximum is attained at an endpoint or at a
-    /// knot inside the interval. Drives fast classification: a block whose
-    /// raw-value range maps to zero maximum opacity is provably transparent.
-    pub fn max_on(&self, lo: u8, hi: u8) -> f64 {
-        assert!(lo <= hi, "empty ramp interval");
-        let mut m = self.eval(lo).max(self.eval(hi));
-        for &(x, v) in &self.knots {
-            if x > lo && x < hi {
-                m = m.max(v);
-            }
-        }
-        m
-    }
 }
 
 /// A complete classification recipe: opacity from value × gradient ramps,
@@ -227,19 +211,6 @@ mod tests {
             );
             assert!(tf.opacity_value.eval(255) > 0.9);
         }
-    }
-
-    #[test]
-    fn max_on_interval() {
-        let r = Ramp::new(vec![(0, 0.0), (50, 1.0), (100, 0.0), (255, 0.5)]);
-        assert_eq!(r.max_on(0, 255), 1.0);
-        assert_eq!(r.max_on(40, 60), 1.0, "knot inside the interval");
-        assert!((r.max_on(100, 150) - 0.5 * 50.0 / 155.0).abs() < 1e-12);
-        assert_eq!(r.max_on(200, 200), r.eval(200), "degenerate interval");
-        // Zero plateau is detected as exactly zero.
-        let z = Ramp::new(vec![(0, 0.0), (100, 0.0), (200, 1.0)]);
-        assert_eq!(z.max_on(0, 100), 0.0);
-        assert!(z.max_on(0, 101) > 0.0);
     }
 
     #[test]

@@ -29,7 +29,6 @@ struct Cli {
     zoom: f64,
     perspective: Option<f64>,
     depth_cue: Option<f32>,
-    fast_classify: bool,
     algorithm: String,
     layout: String,
     brick: usize,
@@ -76,7 +75,6 @@ impl Default for Cli {
             zoom: 1.0,
             perspective: None,
             depth_cue: None,
-            fast_classify: false,
             algorithm: "new".into(),
             layout: "flat".into(),
             brick: DEFAULT_BRICK_EXTENT,
@@ -146,7 +144,6 @@ rendering:
   --zoom Z                     zoom factor
   --perspective D              perspective projection, eye D voxels from center
   --depth-cue F                depth cueing, F fractional attenuation per slice
-  --fast-classify              min-max accelerated classification
   --algorithm serial|old|new   renderer (default new)
   --threads T                  worker threads for parallel renderers
   --pin none|compact|scatter   pin workers to CPUs (default: SWR_PIN env or
@@ -304,7 +301,6 @@ fn parse() -> Cli {
             "--depth-cue" => {
                 cli.depth_cue = Some(val("--depth-cue").parse().unwrap_or_else(|_| usage()))
             }
-            "--fast-classify" => cli.fast_classify = true,
             "--algorithm" => cli.algorithm = val("--algorithm"),
             "--layout" => {
                 cli.layout = val("--layout");
@@ -804,8 +800,11 @@ fn run_sharded(cli: &Cli) -> ! {
     if cli.layout != "flat" || cli.resident_mb.is_some() {
         die("--shards composites from the flat RLE layout only".into());
     }
-    if cli.depth_cue.is_some() || cli.fast_classify {
-        die("--shards workers composite with default options; --depth-cue/--fast-classify are single-process only".into());
+    if cli.depth_cue.is_some() {
+        die(
+            "--shards workers composite with default options; --depth-cue is single-process only"
+                .into(),
+        );
     }
     if let Some(k) = cli.shard_kill {
         if k >= shards {
@@ -1084,11 +1083,7 @@ fn main() {
 
     eprintln!("classifying + run-length encoding...");
     let t0 = std::time::Instant::now();
-    let classified = if cli.fast_classify {
-        shearwarp::volume::classify_fast(&raw_vol, &tf)
-    } else {
-        classify(&raw_vol, &tf)
-    };
+    let classified = classify(&raw_vol, &tf);
     let enc = EncodedVolume::encode(&classified);
     eprintln!(
         "  {:.1}% transparent, {:.1}x compressed  ({:.2}s)",

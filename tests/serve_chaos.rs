@@ -69,8 +69,11 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
-        self.tx.write_all(line.as_bytes()).expect("send");
-        self.tx.write_all(b"\n").expect("send");
+        // One write per request: a separate newline segment would sit out
+        // a delayed-ACK timeout (40 ms) behind Nagle's algorithm.
+        self.tx
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
     }
 
     fn recv(&mut self) -> Json {
@@ -269,18 +272,36 @@ fn overload_sheds_degrades_and_recovers() {
 
     let mut hog = Client::connect(&handle);
     let mut victim = Client::connect(&handle);
-    // The hog renders a larger volume, and many frames of it, so its single
-    // worker lease provably outlives the victim's walk down the ladder.
-    const HOG_FRAMES: u64 = 64;
     hog.hello_base(1, 32);
     victim.hello(1);
+
+    // The hog renders a larger volume, and enough frames of it that its
+    // single worker lease outlives the victim's walk down the ladder in any
+    // build profile. A fixed count cannot do that: 64 frames last 0.3 s in
+    // a debug build and under 20 ms in release, where the victim's first
+    // request found the budget free again. So the count comes from the
+    // server's own clock (`elapsed_ms` of a warm-up animation's last frame)
+    // and buys `HOG_HOLD_MS`, hundreds of times what the victim's three
+    // requests need; the walk ends by checking the lease was still held.
+    const HOG_HOLD_MS: u64 = 1000;
+    const WARMUP_FRAMES: u64 = 16;
+    let hog_render = |hog: &mut Client, id: u64, frames: u64| {
+        hog.send(&format!(
+            r#"{{"op":"render","id":{id},"angle_x":{ANGLE_X},"angle_y":{ANGLE_Y},"frames":{frames},"step":3.0}}"#
+        ));
+    };
+    hog_render(&mut hog, 0, WARMUP_FRAMES);
+    let mut warmup_ms = 0;
+    for _ in 0..WARMUP_FRAMES {
+        let v = hog.recv();
+        warmup_ms = v.get("elapsed_ms").and_then(Json::as_u64).expect("timing");
+    }
+    let hog_frames = HOG_HOLD_MS * WARMUP_FRAMES / warmup_ms.max(1);
 
     // The hog leases the whole budget for a long multi-frame animation.
     // The lease is visible on the `serve.budget_in_use` gauge the moment it
     // is granted — wait for that instead of guessing with a sleep.
-    hog.send(&format!(
-        r#"{{"op":"render","id":1,"angle_x":{ANGLE_X},"angle_y":{ANGLE_Y},"frames":{HOG_FRAMES},"step":3.0}}"#
-    ));
+    hog_render(&mut hog, 1, hog_frames);
     {
         let m = handle.metrics();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -325,6 +346,11 @@ fn overload_sheds_degrades_and_recovers() {
     );
 
     let m = handle.metrics();
+    assert_eq!(
+        m.gauge("serve.budget_in_use"),
+        Some(1.0),
+        "the hog's {hog_frames}-frame lease did not outlive the walk ({warmup_ms} ms warm-up)"
+    );
     assert!(m.counter("serve.shed") >= 2, "sheds are counted");
     assert!(
         m.gauge("serve.degraded").unwrap_or(0.0) >= 1.0,
@@ -332,7 +358,7 @@ fn overload_sheds_degrades_and_recovers() {
     );
 
     // Drain the hog: every frame arrives in order despite the overload.
-    for i in 0..HOG_FRAMES {
+    for i in 0..hog_frames {
         let v = hog.recv();
         assert_eq!(
             v.get("type").and_then(Json::as_str),
