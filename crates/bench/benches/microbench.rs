@@ -26,30 +26,37 @@ fn bench_composite_frame(c: &mut Criterion) {
 }
 
 fn bench_warp(c: &mut Criterion) {
-    let enc = build_dataset(Phantom::MriBrain, 48);
-    let view = view_at(enc.dims(), 30.0);
-    let fact = Factorization::from_view(&view);
-    // Composite once, then bench the warp alone.
-    let mut renderer = SerialRenderer::new();
-    let _ = renderer.render(&enc, &view);
-    let mut inter = swr_render::IntermediateImage::new(fact.inter_w, fact.inter_h);
-    let rle = enc.for_axis(fact.principal);
-    let opts = swr_render::CompositeOpts::default();
-    let mut t = NullTracer;
-    for y in 0..fact.inter_h {
-        let mut row = inter.row_view(y);
-        for m in 0..fact.slice_count() {
-            let k = fact.slice_for_step(m);
-            swr_render::composite_scanline_slice(rle, &fact, &mut row, k, &opts, &mut t);
+    // The MRI brain at zoom 1, and the CT shell at zoom 2, where a third of
+    // the final pixels map outside the intermediate image and most of the
+    // rest onto transparent pixels.
+    let scenes = [
+        ("warp_full_48", Phantom::MriBrain, 48, 1.0),
+        ("warp_full_zoom2_96", Phantom::CtHead, 96, 2.0),
+    ];
+    for (name, phantom, base, zoom) in scenes {
+        let enc = build_dataset(phantom, base);
+        let view = view_at(enc.dims(), 30.0).with_zoom(zoom);
+        let fact = Factorization::from_view(&view);
+        // Composite once, then bench the warp alone.
+        let mut inter = swr_render::IntermediateImage::new(fact.inter_w, fact.inter_h);
+        let rle = enc.for_axis(fact.principal);
+        let opts = swr_render::CompositeOpts::default();
+        let mut t = NullTracer;
+        for y in 0..fact.inter_h {
+            let mut row = inter.row_view(y);
+            for m in 0..fact.slice_count() {
+                let k = fact.slice_for_step(m);
+                swr_render::composite_scanline_slice(rle, &fact, &mut row, k, &opts, &mut t);
+            }
         }
-    }
-    c.bench_function("warp_full_48", |b| {
-        let mut out = FinalImage::new(fact.final_w, fact.final_h);
-        b.iter(|| {
-            out.clear();
-            warp_full(&inter, &fact, &mut out, &mut NullTracer)
+        c.bench_function(name, |b| {
+            let mut out = FinalImage::new(fact.final_w, fact.final_h);
+            b.iter(|| {
+                out.clear();
+                warp_full(&inter, &fact, &mut out, &mut NullTracer)
+            });
         });
-    });
+    }
 }
 
 fn bench_rle_encode(c: &mut Criterion) {

@@ -103,12 +103,6 @@ impl IntermediateImage {
         }
     }
 
-    /// Address of pixel `(x, y)` — for memory tracing of warp reads.
-    #[inline]
-    pub fn pixel_addr(&self, x: usize, y: usize) -> usize {
-        &self.pix[y * self.w + x] as *const IPixel as usize
-    }
-
     /// Mutable view of one scanline (pixels + skip links).
     pub fn row_view(&mut self, y: usize) -> RowView<'_> {
         assert!(y < self.h);
@@ -346,12 +340,11 @@ impl<'a> SharedIntermediate<'a> {
         }
     }
 
-    /// Address of pixel `(x, y)` for memory tracing.
+    /// Pointer to pixel `(0, 0)` and the physical row pitch in pixels: what
+    /// the warp samples and computes trace addresses from.
     #[inline]
-    pub fn shared_pixel_addr(&self, x: usize, y: usize) -> usize {
-        debug_assert!(x < self.w && y < self.h);
-        // Address arithmetic only; nothing is dereferenced.
-        self.pix.wrapping_add(y * self.stride + x) as usize
+    pub(crate) fn raw_parts(&self) -> (*const IPixel, usize) {
+        (self.pix, self.stride)
     }
 }
 
@@ -495,15 +488,25 @@ impl<'a> SharedFinal<'a> {
     /// Writes pixel `(u, v)` and returns its address for tracing.
     ///
     /// # Safety
-    /// No other thread may write the same pixel concurrently.
+    /// `u < width()` and `v < height()` (checked in debug builds only), and
+    /// no other thread may write the same pixel concurrently.
     #[inline]
     pub unsafe fn set(&self, u: usize, v: usize, p: Rgba8) -> usize {
         debug_assert!(u < self.w && v < self.h);
-        // SAFETY: in-bounds per the debug_assert; caller guarantees no other
-        // thread writes this pixel concurrently.
+        // SAFETY: in-bounds and unshared per the caller contract.
         let slot = unsafe { self.pix.add(v * self.stride + u) };
         unsafe { std::ptr::write(slot, p) };
         slot as usize
+    }
+
+    /// Pointer to pixel `(0, v)`; the row's `width()` pixels lie behind it.
+    ///
+    /// # Safety
+    /// `v < height()`.
+    #[inline]
+    pub(crate) unsafe fn row_ptr(&self, v: usize) -> *mut Rgba8 {
+        // SAFETY: row `v` starts inside the allocation (caller contract).
+        unsafe { self.pix.add(v * self.stride) }
     }
 
     /// Clears the logical area to transparent black.
