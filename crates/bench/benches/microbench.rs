@@ -138,10 +138,10 @@ fn bench_blend_kernels(c: &mut Criterion) {
     }
     g.finish();
 
-    // The same sweep over the phantom the wall-clock harness times: sparse
-    // runs and early-terminating pixels mean a (scanline, slice) step
-    // batches only a handful of pixels, so this variant measures the
-    // kernels with mostly partial, padded groups rather than full ones.
+    // The same sweep over the MRI phantom: sparse runs and early-terminating
+    // pixels mean a (scanline, slice) step batches only a handful of pixels,
+    // so this variant measures the kernels with mostly partial, padded
+    // groups rather than full ones.
     let enc = build_dataset(Phantom::MriBrain, 80);
     let view = view_at(enc.dims(), 30.0);
     let fact = Factorization::from_view(&view);

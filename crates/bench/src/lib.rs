@@ -17,22 +17,12 @@
 pub mod args;
 pub mod exp;
 pub mod figs;
-pub mod gate;
-pub mod stats;
 pub mod table;
-pub mod trace;
-pub mod wall;
 
 pub use args::Args;
 pub use exp::*;
 pub use figs::*;
-pub use gate::{bench_gate, gate_self_test, GateConfig, GateOutcome};
-pub use stats::SummaryStats;
 pub use table::*;
-pub use trace::{
-    replay_trace, ReplayMode, ReplayOutcome, TraceRecorder, WorkloadTrace, TRACE_SCHEMA,
-};
-pub use wall::{run_wall_bench, validate_bench_json, WallBenchConfig};
 
 use swr_geom::ViewSpec;
 use swr_volume::{classify, EncodedVolume, Phantom};

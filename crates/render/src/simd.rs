@@ -83,7 +83,7 @@ pub enum SimdKernel {
 }
 
 impl SimdKernel {
-    /// Stable lowercase name, used by `swr-bench` JSON and logs.
+    /// Stable lowercase name, used in benchmark labels and logs.
     pub fn name(self) -> &'static str {
         match self {
             SimdKernel::Scalar => "scalar",
@@ -127,10 +127,10 @@ static FORCE_SCALAR: AtomicU8 = AtomicU8::new(0);
 /// Cached result of the one-time CPU feature probe.
 static DETECTED: OnceLock<SimdKernel> = OnceLock::new();
 
-/// Programmatic equivalent of `SWR_FORCE_SCALAR=1` (e.g. `swr-bench
-/// --force-scalar`): pins [`dispatched_kernel`] to the scalar reference.
-/// Because every kernel is bit-identical, toggling this at any time — even
-/// mid-frame — can change performance but never pixels.
+/// Programmatic equivalent of `SWR_FORCE_SCALAR=1`: pins
+/// [`dispatched_kernel`] to the scalar reference. Because every kernel is
+/// bit-identical, toggling this at any time — even mid-frame — can change
+/// performance but never pixels.
 pub fn set_force_scalar(force: bool) {
     FORCE_SCALAR.store(if force { 2 } else { 1 }, Ordering::Relaxed);
 }

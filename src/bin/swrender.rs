@@ -13,8 +13,16 @@
 //! `3` render fault (worker panic, scheduler stall), `4` service/session
 //! error (client mode: shed, blown deadline, failed session).
 
+use shearwarp::memsim::Platform;
 use shearwarp::prelude::*;
 use shearwarp::volume::io::{try_load_raw, try_load_volume};
+
+#[derive(Clone, Copy, PartialEq)]
+enum Algorithm {
+    Serial,
+    Old,
+    New,
+}
 
 struct Cli {
     phantom: Option<Phantom>,
@@ -29,7 +37,7 @@ struct Cli {
     zoom: f64,
     perspective: Option<f64>,
     depth_cue: Option<f32>,
-    algorithm: String,
+    algorithm: Algorithm,
     layout: String,
     brick: usize,
     resident_mb: Option<u64>,
@@ -45,12 +53,10 @@ struct Cli {
     animate: Option<usize>,
     no_pipeline: bool,
     output: String,
-    record_trace: Option<String>,
     metrics: Option<String>,
     trace: Option<String>,
     breakdown: bool,
-    simulate: Option<String>,
-    bench: bool,
+    simulate: Option<Platform>,
     connect: Option<String>,
     deadline_ms: Option<u64>,
     fault_json: Option<String>,
@@ -75,7 +81,7 @@ impl Default for Cli {
             zoom: 1.0,
             perspective: None,
             depth_cue: None,
-            algorithm: "new".into(),
+            algorithm: Algorithm::New,
             layout: "flat".into(),
             brick: DEFAULT_BRICK_EXTENT,
             resident_mb: None,
@@ -91,12 +97,10 @@ impl Default for Cli {
             animate: None,
             no_pipeline: false,
             output: "render.ppm".into(),
-            record_trace: None,
             metrics: None,
             trace: None,
             breakdown: false,
             simulate: None,
-            bench: false,
             connect: None,
             deadline_ms: None,
             fault_json: None,
@@ -191,11 +195,6 @@ memory layout:
                                through the per-frame new renderer instead
                                (the non-overlapped contrast case)
   -o, --output PATH            output PPM (prefix when rendering > 1 frame)
-  --record-trace PATH          write a swr-trace/1 workload trace of the
-                               rendered frames (synthetic phantoms only —
-                               replay regenerates the volume from
-                               phantom+seed; drive it back through any
-                               renderer with `swr-bench --replay PATH`)
 
 telemetry:
   --metrics PATH               write per-frame metrics + totals JSON
@@ -227,16 +226,19 @@ render service (client mode):
                                table until interrupted
   --watch-interval-ms MS       polling period for --watch (default 1000)
   --watch-iters N              stop --watch after N polls (testing/scripts;
-                               default: run until interrupted)
-
-benchmarking:
-  --bench                      run the wall-clock benchmark sweep (serial vs
-                               old vs new across thread counts) and write
-                               BENCH_<host>.json; ignores the options above.
-                               For flag-level control use the swr-bench binary:
-                               cargo run --release -p swr-bench --bin swr-bench"
+                               default: run until interrupted)"
     );
     std::process::exit(2)
+}
+
+/// Takes `name`'s value and parses it as a number; a malformed one is
+/// reported with the flag and the offending text.
+fn num<T: std::str::FromStr>(name: &str, val: &mut impl FnMut(&str) -> String) -> T {
+    let raw = val(name);
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{name} expects a number, got {raw:?}");
+        usage()
+    })
 }
 
 fn parse() -> Cli {
@@ -262,13 +264,13 @@ fn parse() -> Cli {
                 })
             }
             "--base" => {
-                cli.base = val("--base").parse().unwrap_or_else(|_| usage());
+                cli.base = num("--base", &mut val);
                 if cli.base == 0 {
                     eprintln!("--base must be >= 1");
                     usage()
                 }
             }
-            "--seed" => cli.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
+            "--seed" => cli.seed = num("--seed", &mut val),
             "--input" => {
                 cli.input = Some(val("--input"));
                 cli.phantom = None;
@@ -292,16 +294,22 @@ fn parse() -> Cli {
                 cli.dims = Some([v[0], v[1], v[2]]);
             }
             "--transfer" => cli.transfer = val("--transfer"),
-            "--angle-x" => cli.angle_x = val("--angle-x").parse().unwrap_or_else(|_| usage()),
-            "--angle-y" => cli.angle_y = val("--angle-y").parse().unwrap_or_else(|_| usage()),
-            "--zoom" => cli.zoom = val("--zoom").parse().unwrap_or_else(|_| usage()),
-            "--perspective" => {
-                cli.perspective = Some(val("--perspective").parse().unwrap_or_else(|_| usage()))
+            "--angle-x" => cli.angle_x = num("--angle-x", &mut val),
+            "--angle-y" => cli.angle_y = num("--angle-y", &mut val),
+            "--zoom" => cli.zoom = num("--zoom", &mut val),
+            "--perspective" => cli.perspective = Some(num("--perspective", &mut val)),
+            "--depth-cue" => cli.depth_cue = Some(num("--depth-cue", &mut val)),
+            "--algorithm" => {
+                cli.algorithm = match val("--algorithm").as_str() {
+                    "serial" => Algorithm::Serial,
+                    "old" => Algorithm::Old,
+                    "new" => Algorithm::New,
+                    other => {
+                        eprintln!("unknown algorithm {other} (want serial|old|new)");
+                        usage()
+                    }
+                }
             }
-            "--depth-cue" => {
-                cli.depth_cue = Some(val("--depth-cue").parse().unwrap_or_else(|_| usage()))
-            }
-            "--algorithm" => cli.algorithm = val("--algorithm"),
             "--layout" => {
                 cli.layout = val("--layout");
                 if cli.layout != "flat" && cli.layout != "bricked" {
@@ -310,14 +318,14 @@ fn parse() -> Cli {
                 }
             }
             "--brick" => {
-                cli.brick = val("--brick").parse().unwrap_or_else(|_| usage());
+                cli.brick = num("--brick", &mut val);
                 if cli.brick == 0 {
                     eprintln!("--brick must be >= 1");
                     usage()
                 }
             }
             "--resident-mb" => {
-                let mb: u64 = val("--resident-mb").parse().unwrap_or_else(|_| usage());
+                let mb: u64 = num("--resident-mb", &mut val);
                 if mb == 0 {
                     eprintln!("--resident-mb must be >= 1");
                     usage()
@@ -333,37 +341,33 @@ fn parse() -> Cli {
                 }))
             }
             "--threads" => {
-                cli.threads = val("--threads").parse().unwrap_or_else(|_| usage());
+                cli.threads = num("--threads", &mut val);
                 if cli.threads == 0 {
                     eprintln!("--threads must be >= 1");
                     usage()
                 }
             }
             "--shards" => {
-                cli.shards = Some(val("--shards").parse().unwrap_or_else(|_| usage()));
+                cli.shards = Some(num("--shards", &mut val));
                 if cli.shards == Some(0) {
                     eprintln!("--shards must be >= 1");
                     usage()
                 }
             }
             "--transport" => cli.shard_transport = Some(val("--transport")),
-            "--shard-kill" => {
-                cli.shard_kill = Some(val("--shard-kill").parse().unwrap_or_else(|_| usage()))
-            }
+            "--shard-kill" => cli.shard_kill = Some(num("--shard-kill", &mut val)),
             "--shard-crosscheck" => cli.shard_crosscheck = Some(val("--shard-crosscheck")),
-            "--watchdog-ms" => {
-                cli.watchdog_ms = Some(val("--watchdog-ms").parse().unwrap_or_else(|_| usage()))
-            }
+            "--watchdog-ms" => cli.watchdog_ms = Some(num("--watchdog-ms", &mut val)),
             "--frames" => {
-                cli.frames = val("--frames").parse().unwrap_or_else(|_| usage());
+                cli.frames = num("--frames", &mut val);
                 if cli.frames == 0 {
                     eprintln!("--frames must be >= 1");
                     usage()
                 }
             }
-            "--step" => cli.step = val("--step").parse().unwrap_or_else(|_| usage()),
+            "--step" => cli.step = num("--step", &mut val),
             "--animate" => {
-                let n: usize = val("--animate").parse().unwrap_or_else(|_| usage());
+                let n: usize = num("--animate", &mut val);
                 if n == 0 {
                     eprintln!("--animate must be >= 1");
                     usage()
@@ -374,25 +378,26 @@ fn parse() -> Cli {
             "--metrics" => cli.metrics = Some(val("--metrics")),
             "--trace" => cli.trace = Some(val("--trace")),
             "--breakdown" => cli.breakdown = true,
-            "--simulate" => cli.simulate = Some(val("--simulate")),
-            "--bench" => cli.bench = true,
-            "--connect" => cli.connect = Some(val("--connect")),
-            "--deadline-ms" => {
-                cli.deadline_ms = Some(val("--deadline-ms").parse().unwrap_or_else(|_| usage()))
+            "--simulate" => {
+                cli.simulate = Some(match val("--simulate").as_str() {
+                    "challenge" => Platform::challenge(),
+                    "dash" => Platform::dash(),
+                    "dsm" => Platform::ideal_dsm(),
+                    "origin" => Platform::origin2000(),
+                    other => {
+                        eprintln!("unknown platform {other} (want challenge|dash|dsm|origin)");
+                        usage()
+                    }
+                })
             }
+            "--connect" => cli.connect = Some(val("--connect")),
+            "--deadline-ms" => cli.deadline_ms = Some(num("--deadline-ms", &mut val)),
             "--fault-json" => cli.fault_json = Some(val("--fault-json")),
             "--stats-json" => cli.stats_json = Some(val("--stats-json")),
             "--watch" => cli.watch = true,
-            "--watch-interval-ms" => {
-                cli.watch_interval_ms = val("--watch-interval-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--watch-iters" => {
-                cli.watch_iters = Some(val("--watch-iters").parse().unwrap_or_else(|_| usage()))
-            }
+            "--watch-interval-ms" => cli.watch_interval_ms = num("--watch-interval-ms", &mut val),
+            "--watch-iters" => cli.watch_iters = Some(num("--watch-iters", &mut val)),
             "-o" | "--output" => cli.output = val("--output"),
-            "--record-trace" => cli.record_trace = Some(val("--record-trace")),
             "-h" | "--help" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -412,33 +417,6 @@ fn parse() -> Cli {
         }
     }
     cli
-}
-
-/// Runs the default wall-clock sweep and writes `BENCH_<host>.json` to the
-/// current directory. The dedicated `swr-bench` binary exposes the full set
-/// of knobs (base size, thread list, frame counts, output path).
-#[cfg(feature = "bench")]
-fn run_bench() -> ! {
-    use swr_bench::wall::{host_name, run_wall_bench, WallBenchConfig};
-    let cfg = WallBenchConfig::default();
-    let doc = run_wall_bench(&cfg, |line| eprintln!("{line}"));
-    let path = format!("BENCH_{}.json", host_name());
-    match std::fs::write(&path, format!("{doc}\n")) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            std::process::exit(0)
-        }
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1)
-        }
-    }
-}
-
-#[cfg(not(feature = "bench"))]
-fn run_bench() -> ! {
-    eprintln!("swrender: built without the `bench` feature; rebuild with default features");
-    std::process::exit(2)
 }
 
 /// Client mode (`--connect`): renders through a running `swr-serve` daemon
@@ -794,8 +772,8 @@ fn run_sharded(cli: &Cli) -> ! {
     if cli.input.is_some() || cli.raw.is_some() {
         die("--shards renders synthetic phantoms only (workers regenerate the volume from phantom+seed)".into());
     }
-    if cli.simulate.is_some() || cli.animate.is_some() || cli.record_trace.is_some() {
-        die("--shards cannot be combined with --simulate/--animate/--record-trace".into());
+    if cli.simulate.is_some() || cli.animate.is_some() {
+        die("--shards cannot be combined with --simulate/--animate".into());
     }
     if cli.layout != "flat" || cli.resident_mb.is_some() {
         die("--shards composites from the flat RLE layout only".into());
@@ -1002,29 +980,6 @@ fn decode_frame(resp: &Json) -> Option<FinalImage> {
 
 fn main() {
     let mut cli = parse();
-    if cli.record_trace.is_some() {
-        // Replay regenerates the dataset from phantom + seed, so only
-        // synthetic local renders are recordable.
-        if cli.input.is_some() || cli.raw.is_some() {
-            eprintln!("--record-trace requires a synthetic --phantom (replay regenerates the volume from phantom+seed)");
-            usage()
-        }
-        if cli.simulate.is_some() || cli.connect.is_some() || cli.bench {
-            eprintln!(
-                "--record-trace records local renders only (not --simulate/--connect/--bench)"
-            );
-            usage()
-        }
-        if cfg!(not(feature = "bench")) {
-            eprintln!(
-                "swrender: --record-trace needs the `bench` feature; rebuild with default features"
-            );
-            std::process::exit(2);
-        }
-    }
-    if cli.bench {
-        run_bench();
-    }
     if let Some(addr) = cli.connect.clone() {
         run_client(&cli, &addr);
     }
@@ -1032,8 +987,8 @@ fn main() {
         run_sharded(&cli);
     }
     if cli.animate.is_some() {
-        if cli.algorithm != "new" {
-            eprintln!("--animate requires --algorithm new, got {}", cli.algorithm);
+        if cli.algorithm != Algorithm::New {
+            eprintln!("--animate requires --algorithm new");
             usage()
         }
         if cli.simulate.is_some() {
@@ -1140,25 +1095,21 @@ fn main() {
         }),
         ..Default::default()
     };
-    let mut renderer = match cli.algorithm.as_str() {
-        "serial" => {
+    let mut renderer = match cli.algorithm {
+        Algorithm::Serial => {
             let mut r = SerialRenderer::new();
             r.opts = composite_opts;
             AnyRenderer::Serial(Box::new(r))
         }
-        "old" => {
+        Algorithm::Old => {
             let mut r = OldParallelRenderer::new(cli.pcfg());
             r.composite_opts = composite_opts;
             AnyRenderer::Old(Box::new(r))
         }
-        "new" => {
+        Algorithm::New => {
             let mut r = NewParallelRenderer::new(cli.pcfg());
             r.composite_opts = composite_opts;
             AnyRenderer::New(Box::new(r))
-        }
-        other => {
-            eprintln!("unknown algorithm {other}");
-            usage()
         }
     };
 
@@ -1174,30 +1125,6 @@ fn main() {
         }
         (view, ay)
     };
-
-    // Workload trace capture: one record per delivered frame, stamped with
-    // the live inter-frame gap so `swr-bench --replay --mode realtime` can
-    // reproduce the recorded pacing.
-    #[cfg(feature = "bench")]
-    let mut trace_rec = cli.record_trace.as_ref().map(|_| {
-        let phantom_name = match cli.phantom.expect("validated: phantom input") {
-            Phantom::MriBrain => "mri",
-            Phantom::CtHead => "ct",
-            Phantom::SolidEllipsoid => "ellipsoid",
-        };
-        swr_bench::trace::TraceRecorder::new(swr_bench::trace::TraceHeader {
-            phantom: phantom_name.into(),
-            base: cli.base,
-            seed: cli.seed,
-            transfer: cli.transfer.clone(),
-            threads: cli.threads,
-            renderer: if cli.animate.is_some() {
-                "new_pipelined".into()
-            } else {
-                cli.algorithm.clone()
-            },
-        })
-    });
 
     let mut telemetry: Vec<FrameTelemetry> = Vec::new();
     if let Some(nframes) = cli.animate {
@@ -1225,15 +1152,6 @@ fn main() {
                 image.height(),
                 t0.elapsed().as_secs_f64() * 1e3
             );
-            #[cfg(feature = "bench")]
-            if let Some(rec) = trace_rec.as_mut() {
-                rec.record(
-                    cli.angle_x,
-                    cli.angle_y + frame as f64 * cli.step,
-                    cli.zoom,
-                    cli.perspective,
-                );
-            }
         })
         .unwrap_or_else(|e| fail(e));
         let secs = t0.elapsed().as_secs_f64();
@@ -1244,7 +1162,7 @@ fn main() {
             nframes as f64 / secs.max(1e-9)
         );
         telemetry = std::mem::take(&mut pipe.telemetry);
-    } else if let Some(platform) = &cli.simulate {
+    } else if let Some(platform) = cli.simulate {
         simulate(&cli, platform, &enc, &view_at, &mut telemetry).unwrap_or_else(|e| fail(e));
     } else {
         for frame in 0..cli.frames.max(1) {
@@ -1280,10 +1198,6 @@ fn main() {
                 image.height(),
                 t.elapsed().as_secs_f64() * 1e3
             );
-            #[cfg(feature = "bench")]
-            if let Some(rec) = trace_rec.as_mut() {
-                rec.record(cli.angle_x, ay, cli.zoom, cli.perspective);
-            }
         }
     }
 
@@ -1302,16 +1216,6 @@ fn main() {
         );
     }
 
-    #[cfg(feature = "bench")]
-    if let (Some(path), Some(rec)) = (cli.record_trace.as_ref(), trace_rec.take()) {
-        let trace = rec.finish();
-        std::fs::write(path, trace.to_lines()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1)
-        });
-        eprintln!("recorded {} frames -> {path}", trace.frames.len());
-    }
-
     write_telemetry(&cli, &telemetry);
 }
 
@@ -1323,29 +1227,19 @@ fn main() {
 /// profile, exactly as the animation loop would.
 fn simulate(
     cli: &Cli,
-    platform: &str,
+    platform: Platform,
     enc: &EncodedVolume,
     view_at: &dyn Fn(usize) -> (ViewSpec, f64),
     telemetry: &mut Vec<FrameTelemetry>,
 ) -> Result<()> {
     use shearwarp::core::{try_capture_frame, CaptureConfig};
-    use shearwarp::memsim::{Machine, Platform};
+    use shearwarp::memsim::Machine;
 
-    let platform = match platform {
-        "challenge" => Platform::challenge(),
-        "dash" => Platform::dash(),
-        "dsm" => Platform::ideal_dsm(),
-        "origin" => Platform::origin2000(),
-        other => {
-            eprintln!("unknown platform {other} (want challenge|dash|dsm|origin)");
-            usage()
-        }
-    };
-    let new_alg = match cli.algorithm.as_str() {
-        "new" => true,
-        "old" => false,
-        other => {
-            eprintln!("--simulate requires --algorithm old|new, got {other}");
+    let new_alg = match cli.algorithm {
+        Algorithm::New => true,
+        Algorithm::Old => false,
+        Algorithm::Serial => {
+            eprintln!("--simulate requires --algorithm old|new");
             usage()
         }
     };

@@ -103,6 +103,81 @@ fn config_ablations_do_not_change_pixels() {
     }
 }
 
+/// One sequence that mixes everything a session can change between frames —
+/// a rotation sweep wide enough to cross principal-axis changes, a zoom ramp,
+/// a switch to perspective at frame 4 and a re-classification at frame 3 —
+/// must come out the same from all four renderers, twice over. The pipeline
+/// is one pool reused across the two constant-classification segments.
+#[test]
+fn mixed_sequence_agrees_across_all_four_renderers() {
+    let phantom = Phantom::MriBrain;
+    let dims = phantom.paper_dims(16);
+    let raw = phantom.generate(dims, 11);
+    let encode = |tf: &TransferFunction| EncodedVolume::encode(&classify(&raw, tf));
+    let encs = [
+        encode(&TransferFunction::mri_default()),
+        encode(&TransferFunction::opaque_nonzero()),
+    ];
+    const RECLASSIFIED_AT: usize = 3;
+    let views: Vec<ViewSpec> = (0..6)
+        .map(|i| {
+            let view = ViewSpec::new(dims)
+                .rotate_x(11.5f64.to_radians())
+                .rotate_y((23.0 * i as f64).to_radians())
+                .with_zoom(1.0 + 0.05 * i as f64);
+            if i >= 4 {
+                view.with_perspective(96.0)
+            } else {
+                view
+            }
+        })
+        .collect();
+    let enc_at = |i: usize| &encs[usize::from(i >= RECLASSIFIED_AT)];
+    let per_frame = |render: &mut dyn FnMut(&EncodedVolume, &ViewSpec) -> FinalImage| {
+        (0..views.len())
+            .map(|i| render(enc_at(i), &views[i]))
+            .collect::<Vec<FinalImage>>()
+    };
+    let cfg = ParallelConfig::with_procs(2);
+
+    let mut serial = SerialRenderer::new();
+    let reference = per_frame(&mut |enc, view| serial.render(enc, view));
+    assert_ne!(
+        reference[RECLASSIFIED_AT - 1],
+        reference[RECLASSIFIED_AT],
+        "the re-classification must change pixels"
+    );
+    assert_eq!(
+        per_frame(&mut |enc, view| serial.render(enc, view)),
+        reference,
+        "serial, second run"
+    );
+    let mut old = OldParallelRenderer::new(cfg);
+    let mut new = NewParallelRenderer::new(cfg);
+    let mut pipe = AnimationPipeline::new(cfg);
+    for run in 0..2 {
+        assert_eq!(
+            per_frame(&mut |enc, view| old.render(enc, view)),
+            reference,
+            "old, run {run}"
+        );
+        assert_eq!(
+            per_frame(&mut |enc, view| new.render(enc, view)),
+            reference,
+            "new, run {run}"
+        );
+        let mut piped = Vec::new();
+        for (enc, segment) in encs
+            .iter()
+            .zip([0..RECLASSIFIED_AT, RECLASSIFIED_AT..views.len()])
+        {
+            pipe.try_render_animation(enc, &views[segment], |_, img, _| piped.push(img))
+                .expect("pipelined segment");
+        }
+        assert_eq!(piped, reference, "pipelined, run {run}");
+    }
+}
+
 /// The untraced fast-path kernel must be invisible in the output: for both
 /// orthographic and perspective projections, compositing every (scanline,
 /// slice) pair with the traced kernel and the untraced kernel produces
