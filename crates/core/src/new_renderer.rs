@@ -49,8 +49,8 @@ use swr_error::panic_message;
 use swr_geom::{Factorization, ViewSpec};
 use swr_render::{
     composite::occupied_y_bounds_src, composite_scanline_slice_src,
-    composite_scanline_slice_untraced_src, warp_row_band, AxisSrc, CompositeOpts, FinalImage,
-    IntermediateImage, NullTracer, SharedFinal, SharedIntermediate, VolumeSrc,
+    composite_scanline_slice_untraced_src, warp_row_band, AxisSrc, BrickRowPin, CompositeOpts,
+    FinalImage, IntermediateImage, NullTracer, SharedFinal, SharedIntermediate, VolumeSrc,
 };
 use swr_telemetry::{us_to_secs, FrameClock, FrameTelemetry, SpanKind};
 use swr_volume::EncodedVolume;
@@ -678,18 +678,22 @@ pub(crate) fn composite_chunk_rows(
     // locally across the slices and is published once: the chunk owns its
     // rows, so a per-(row, slice) atomic add would be pure traffic.
     let mut work = vec![0u64; if opts.profile { rows.len() } else { 0 }];
+    // The chunk's scanlines read-share voxel rows, slice after slice: the
+    // bricks under them stay pinned while the chunk stays in their brick
+    // row, rather than being looked up per row.
+    let mut pin = BrickRowPin::new(rle);
     for m in 0..fact.slice_count() {
         let k = fact.slice_for_step(m);
         for (i, y) in rows.clone().enumerate() {
             // SAFETY: as above — exclusive row access via chunk ownership.
             let mut row = unsafe { shared.row_view(y) };
             if opts.profile {
-                let st =
-                    composite_scanline_slice_src(rle, fact, &mut row, k, opts, &mut NullTracer);
+                let t = &mut NullTracer;
+                let st = composite_scanline_slice_src(&mut pin, fact, &mut row, k, opts, t);
                 pixels += st.composited;
                 work[i] += st.work;
             } else {
-                pixels += composite_scanline_slice_untraced_src(rle, fact, &mut row, k, opts);
+                pixels += composite_scanline_slice_untraced_src(&mut pin, fact, &mut row, k, opts);
             }
         }
     }
@@ -721,9 +725,10 @@ pub(crate) fn recomposite_row(
     // worker has retired from the frame.
     unsafe { shared.clear_row(y) };
     let mut row = unsafe { shared.row_view(y) };
+    let mut pin = BrickRowPin::new(rle);
     for m in 0..fact.slice_count() {
         let k = fact.slice_for_step(m);
-        composite_scanline_slice_src(rle, fact, &mut row, k, opts, &mut NullTracer);
+        composite_scanline_slice_src(&mut pin, fact, &mut row, k, opts, &mut NullTracer);
     }
 }
 

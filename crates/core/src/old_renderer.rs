@@ -32,8 +32,8 @@ use swr_error::panic_message;
 use swr_geom::{Factorization, ViewSpec};
 use swr_render::{
     composite_scanline_slice_src, composite_scanline_slice_untraced_src, warp_full, warp_tile,
-    CompositeOpts, FinalImage, IntermediateImage, NullTracer, SharedFinal, SharedIntermediate,
-    VolumeSrc,
+    BrickRowPin, CompositeOpts, FinalImage, IntermediateImage, NullTracer, SharedFinal,
+    SharedIntermediate, VolumeSrc,
 };
 use swr_telemetry::{us_to_secs, FrameClock, FrameTelemetry, SpanKind};
 use swr_volume::EncodedVolume;
@@ -309,7 +309,9 @@ impl OldParallelRenderer {
                                     row_claim[y].store(p, Ordering::Relaxed);
                                 }
                                 // Slice-outer traversal within the chunk keeps
-                                // the volume streaming in storage order.
+                                // the volume streaming in storage order, and
+                                // its bricks pinned across the chunk's rows.
+                                let mut pin = BrickRowPin::new(rle);
                                 for m in 0..fact.slice_count() {
                                     let k = fact.slice_for_step(m);
                                     for y in rows.clone() {
@@ -317,7 +319,7 @@ impl OldParallelRenderer {
                                         // one chunk and each chunk is popped once.
                                         let mut row = unsafe { shared.row_view(y) };
                                         local_pixels += composite_scanline_slice_untraced_src(
-                                            rle, fact, &mut row, k, &opts,
+                                            &mut pin, fact, &mut row, k, &opts,
                                         );
                                     }
                                 }
@@ -439,9 +441,10 @@ impl OldParallelRenderer {
             for &y in &lost {
                 inter.clear_row(y);
                 let mut row = inter.row_view(y);
+                let mut pin = BrickRowPin::new(rle);
                 for m in 0..fact.slice_count() {
                     let k = fact.slice_for_step(m);
-                    composite_scanline_slice_src(rle, &fact, &mut row, k, &opts, &mut tracer);
+                    composite_scanline_slice_src(&mut pin, &fact, &mut row, k, &opts, &mut tracer);
                 }
             }
             // The tile warp was skipped on abort; redo it serially over the

@@ -89,7 +89,7 @@ pub use svm::{
 pub use swr_error::Error;
 pub use trace::{CollectingTracer, TaskTrace, TraceEvent};
 pub use workingset::{
-    lru_misses, miss_curve, recommend_brick, scanline_touches, sweep_brick_sizes, BrickChoice,
-    BrickTouch, ClockCacheSim, MissCurvePoint, SimStats,
+    lru_misses, miss_curve, pinned_touches, recommend_brick, scanline_touches, sweep_brick_sizes,
+    BrickChoice, BrickTouch, ClockCacheSim, MissCurvePoint, SimStats,
 };
 pub use workload::{FrameWorkload, StealPolicy, TaskSpec};

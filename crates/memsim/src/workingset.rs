@@ -9,11 +9,15 @@
 //! per-miss decode cost. This module predicts those effects *before* a
 //! render:
 //!
-//! * [`scanline_touches`] synthesizes the brick reference stream a
-//!   principal-axis compositing pass makes over a bricked grid — for each
-//!   intermediate-image slice, each voxel row crosses the full row of
-//!   bricks, so bricks in a `z`-slab of extent `b` are re-touched `b`
-//!   slices in a row before the pass moves on.
+//! * [`pinned_touches`] synthesizes the brick reference stream a
+//!   principal-axis compositing pass makes over a bricked grid. A band loop
+//!   holds the bricks under its chunk of scanlines in a brick-row pin
+//!   (`swr_render::BrickRowPin`) until the chunk moves to another brick
+//!   row, so the cache sees one reference per `(slab, brick row, column)`
+//!   of each chunk, and the whole depth is walked once per chunk.
+//!   [`scanline_touches`] is the unpinned stream — every voxel row of every
+//!   slice crossing the full row of bricks — which only the one-shot
+//!   compositing entry points still make.
 //! * [`ClockCacheSim`] is a policy twin of the real `BrickCache`: same
 //!   Fibonacci-hash sharding, same reserve-before-admit accounting, same
 //!   per-shard second-chance sweep. Replaying a touch stream through it
@@ -46,28 +50,69 @@ pub struct BrickTouch {
     pub bytes: u64,
 }
 
-/// The brick reference stream of one principal-axis compositing pass over a
-/// `dims` grid bricked at extent `brick`, with every brick's payload modeled
-/// as `bytes_per_brick`. Traversal order matches the compositor: for each
-/// slice `k`, each voxel row `j` crosses the full row of bricks in `i`; the
-/// brick row for `(j, k)` is re-referenced by all `brick` rows and slices
-/// that map into it.
+/// Brick id of `(bi, bj, bk)` in a grid `nbx` columns by `nby` rows wide —
+/// the real `BrickedEncoding::brick_id` order.
+fn brick_key(bi: usize, bj: usize, bk: usize, nbx: usize, nby: usize) -> u64 {
+    ((bk * nby + bj) * nbx + bi) as u64
+}
+
+/// The brick reference stream of one head-on principal-axis compositing pass
+/// over a `dims` grid bricked at extent `brick`, as the renderers' band loops
+/// make it, with every brick's payload modeled as `bytes_per_brick`. The
+/// image's `dims[1]` scanlines are composited in chunks of `chunk_rows`
+/// (`dims[1]` itself models the serial renderer, whose whole image is one
+/// band); each chunk walks the volume front to back holding two brick rows,
+/// direct-mapped by the parity of `bj` as in the real pin, and touches a
+/// row's bricks when it is not the one held. A chunk within two brick rows
+/// therefore makes one touch per `(slab, brick row, column)`, however many
+/// scanlines and slices read the row; a taller chunk evicts its own rows
+/// and re-touches them every slice.
+pub fn pinned_touches(
+    dims: [usize; 3],
+    brick: usize,
+    chunk_rows: usize,
+    bytes_per_brick: u64,
+) -> Vec<BrickTouch> {
+    let (b, chunk_rows) = (brick.max(1), chunk_rows.max(1));
+    let nbx = dims[0].div_ceil(b);
+    let nby = dims[1].div_ceil(b);
+    let mut out = Vec::new();
+    for chunk_lo in (0..dims[1]).step_by(chunk_rows) {
+        let chunk_hi = (chunk_lo + chunk_rows).min(dims[1]);
+        let mut held = [None; 2];
+        for k in 0..dims[2] {
+            for bj in chunk_lo / b..=(chunk_hi - 1) / b {
+                if held[bj % 2].replace((k / b, bj)) == Some((k / b, bj)) {
+                    continue;
+                }
+                out.extend((0..nbx).map(|bi| BrickTouch {
+                    key: brick_key(bi, bj, k / b, nbx, nby),
+                    bytes: bytes_per_brick,
+                }));
+            }
+        }
+    }
+    out
+}
+
+/// The unpinned counterpart of [`pinned_touches`]: for each slice `k`, each
+/// voxel row `j` crosses the full row of bricks in `i`, so the brick row for
+/// `(j, k)` is re-referenced by all `brick` rows and slices that map into
+/// it. This was the compositor's stream while every scanline cursor looked
+/// its bricks up itself; band loops now make the pinned stream, and only
+/// the one-shot compositing entry points (one pin per scanline) still make
+/// this one: what the cache has to absorb with no help from the pins.
 pub fn scanline_touches(dims: [usize; 3], brick: usize, bytes_per_brick: u64) -> Vec<BrickTouch> {
     let b = brick.max(1);
     let nbx = dims[0].div_ceil(b);
     let nby = dims[1].div_ceil(b);
     let mut out = Vec::with_capacity(dims[2] * dims[1] * nbx);
     for k in 0..dims[2] {
-        let bk = k / b;
         for j in 0..dims[1] {
-            let bj = j / b;
-            for bi in 0..nbx {
-                let key = ((bk * nby + bj) * nbx + bi) as u64;
-                out.push(BrickTouch {
-                    key,
-                    bytes: bytes_per_brick,
-                });
-            }
+            out.extend((0..nbx).map(|bi| BrickTouch {
+                key: brick_key(bi, j / b, k / b, nbx, nby),
+                bytes: bytes_per_brick,
+            }));
         }
     }
     out
@@ -323,7 +368,9 @@ pub struct BrickChoice {
 }
 
 /// Replays one compositing pass over a `dims` grid at each candidate brick
-/// extent under the same byte budget, modeling dense bricks of
+/// extent under the same byte budget — the unpinned pass, so the ranking
+/// does not lean on the bricks a pin keeps alive outside the budget —
+/// modeling dense bricks of
 /// `bytes_per_voxel` (4 for stored RGBA) plus the per-brick scanline offset
 /// tables the real payload carries (`Brick::heap_bytes` charges two
 /// `u32[b² + 1]` tables, so `8·(b² + 1)` bytes — the overhead that makes
@@ -392,6 +439,66 @@ mod tests {
         assert_eq!(s.misses, 27);
         assert_eq!(s.evictions, 0);
         assert_eq!(s.hits, touches.len() as u64 - 27);
+    }
+
+    /// The stream's length is the real render's lookup count: a dense
+    /// volume head-on through the serial renderer (one band) and through a
+    /// band loop over 4-row chunks, streamed under a starved budget.
+    #[test]
+    fn pinned_touches_count_what_a_streamed_render_looks_up() {
+        use swr_geom::{Factorization, ViewSpec};
+        use swr_render::{
+            composite_scanline_slice_untraced_src, BrickRowPin, CompositeOpts, IntermediateImage,
+            SerialRenderer, VolumeSrc,
+        };
+        use swr_volume::{BrickedVolume, ClassifiedVolume, EncodedVolume, RgbaVoxel};
+        let (dims, brick, chunk_rows) = ([24, 32, 12], 8, 4);
+        let voxel = |n: usize| {
+            let a = 40 + (n % 90) as u8;
+            RgbaVoxel {
+                r: a,
+                g: a,
+                b: a,
+                a,
+            }
+        };
+        let dense = (0..dims[0] * dims[1] * dims[2]).map(voxel).collect();
+        let enc = EncodedVolume::encode_with_threshold(&ClassifiedVolume::from_raw(dims, dense), 1);
+        let streamed = BrickedVolume::from_encoded_streamed(&enc, brick, 1).expect("spill");
+        let lookups = || {
+            let s = streamed.cache_stats().expect("streamed");
+            assert!(s.peak_resident_bytes <= s.budget_bytes);
+            s.hits + s.misses
+        };
+        let src = VolumeSrc::Bricked(&streamed);
+        let view = ViewSpec::new(dims);
+
+        let before = lookups();
+        SerialRenderer::new().render_src(src, &view);
+        let one_band = pinned_touches(dims, brick, dims[1], 0);
+        assert_eq!(lookups() - before, one_band.len() as u64);
+        // Four brick rows under one band: the two-row pin holds none of them
+        // from one slice to the next.
+        assert_eq!(one_band.len(), 12 * 4 * 3, "slices × brick rows × columns");
+
+        let fact = Factorization::from_view(&view);
+        let axis = src.for_axis(fact.principal);
+        let mut inter = IntermediateImage::new(fact.inter_w, fact.inter_h);
+        let before = lookups();
+        for chunk in (0..dims[1]).step_by(chunk_rows) {
+            let mut pin = BrickRowPin::new(axis);
+            for m in 0..fact.slice_count() {
+                let k = fact.slice_for_step(m);
+                for y in chunk..chunk + chunk_rows {
+                    let mut row = inter.row_view(y);
+                    let opts = CompositeOpts::default();
+                    composite_scanline_slice_untraced_src(&mut pin, &fact, &mut row, k, &opts);
+                }
+            }
+        }
+        let chunked = pinned_touches(dims, brick, chunk_rows, 0);
+        assert_eq!(lookups() - before, chunked.len() as u64);
+        assert_eq!(chunked.len(), 8 * 2 * 3, "chunks × slabs × columns");
     }
 
     #[test]

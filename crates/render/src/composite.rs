@@ -18,10 +18,10 @@
 
 use crate::costs;
 use crate::image::{IPixel, RowView};
-use crate::source::AxisSrc;
+use crate::source::{AxisSrc, BrickRowPin, Pinned, PinnedRows, StepSrc};
 use crate::tracer::{NullTracer, Tracer, WorkKind};
 use swr_geom::Factorization;
-use swr_volume::{BrickHandle, BrickedEncoding, RgbaVoxel, RleEncoding, RleScanline};
+use swr_volume::{RgbaVoxel, RleEncoding, RleScanline};
 
 /// Depth cueing (VolPack feature): colors are attenuated exponentially with
 /// front-to-back slice depth, giving cheap atmospheric depth perception.
@@ -189,284 +189,80 @@ impl<'a> RunCursor<'a> {
     }
 }
 
-/// A monotone cursor over one voxel scanline. Abstracts the flat
-/// [`RunCursor`] and the bricked [`BrickCursor`] behind the two queries the
-/// compositing kernel needs, with identical semantics and identical modeled
-/// cost charging (`VOXEL_FETCH` exactly once per successful `query`,
-/// `RUN_ADVANCE` per run byte consumed), so one traversal implementation
-/// serves both storage layouts and produces bit-identical images.
-pub(crate) trait VoxelCursor {
-    /// Voxel at index `i`, or `None` in a transparent run / out of range.
-    /// `i` is monotonically non-decreasing across calls (modulo the `i0` /
-    /// `i0 + 1` footprint pattern).
-    fn query<T: Tracer>(&mut self, i: i64, tracer: &mut T) -> Option<RgbaVoxel>;
-
-    /// First stored voxel index ≥ `i`, or `n_i` if none remain.
-    fn next_opaque_at_or_after<T: Tracer>(&mut self, i: i64, tracer: &mut T) -> i64;
-}
-
-impl VoxelCursor for RunCursor<'_> {
-    #[inline]
-    fn query<T: Tracer>(&mut self, i: i64, tracer: &mut T) -> Option<RgbaVoxel> {
-        RunCursor::query(self, i, tracer)
-    }
-
-    #[inline]
-    fn next_opaque_at_or_after<T: Tracer>(&mut self, i: i64, tracer: &mut T) -> i64 {
-        RunCursor::next_opaque_at_or_after(self, i, tracer)
-    }
-}
-
-/// A cursor walking one scanline of a [`BrickedEncoding`] across its brick
-/// columns in global `i` coordinates. Within a column it consumes the
-/// brick-local runs (every brick-local scanline starts with a possibly
-/// zero-length transparent run and covers the full column width, so the
-/// transparent/opaque phase resets cleanly at every column boundary);
-/// fully-empty bricks are skipped without touching their payload by
-/// synthesizing one transparent segment spanning the column — the brick-skip
-/// optimization the layout exists for.
-///
-/// For a streamed volume, entering a column pulls the brick through the
-/// [`swr_volume::BrickCache`] and holds it only while the cursor traverses
-/// that column, which is what bounds the resident set.
-pub(crate) struct BrickCursor<'a> {
-    enc: &'a BrickedEncoding,
-    /// Brick row/slab of this scanline (fixed) and its brick-local scanline
-    /// index (identical for every column because `bj` fixes the local width).
-    bj: usize,
-    bk: usize,
-    scan: usize,
-    /// Current brick column, in `0..nb_i`; `nb_i` once exhausted.
-    bi: usize,
-    nb_i: usize,
-    /// Payload of the current column (`None` for empty bricks / exhausted).
-    payload: Option<BrickHandle<'a>>,
-    /// Pending synthetic transparent run length for an empty column.
-    synthetic: i64,
-    run_pos: usize,
-    run_end: usize,
-    vox_pos: usize,
-    seg_lo: i64,
-    seg_hi: i64,
-    opaque: bool,
-    n_i: i64,
-}
-
-impl<'a> BrickCursor<'a> {
-    fn new(enc: &'a BrickedEncoding, k: usize, j: usize, n_i: i64) -> Self {
-        let b = enc.brick_extent();
-        let mut cur = BrickCursor {
-            enc,
-            bj: j / b,
-            bk: k / b,
-            scan: enc.local_scan(k, j),
-            bi: 0,
-            nb_i: enc.grid()[0],
-            payload: None,
-            synthetic: 0,
-            run_pos: 0,
-            run_end: 0,
-            vox_pos: 0,
-            seg_lo: 0,
-            seg_hi: 0,
-            opaque: true,
-            n_i,
-        };
-        cur.enter_column();
-        cur
-    }
-
-    /// Loads column `bi`'s run window (or schedules a synthetic transparent
-    /// segment for an empty brick). Does not emit a segment.
-    fn enter_column(&mut self) {
-        let id = self.enc.brick_id(self.bi, self.bj, self.bk);
-        let (lo, hi) = self.enc.col_range(self.bi);
-        debug_assert_eq!(lo, self.seg_hi, "column entry must be seamless");
-        match self.enc.payload(id) {
-            None => {
-                // Empty brick: skip without decoding — one synthetic
-                // transparent segment covers the whole column.
-                self.payload = None;
-                self.synthetic = hi - lo;
-                self.run_pos = 0;
-                self.run_end = 0;
-            }
-            Some(handle) => {
-                let (runs, voxels) = handle.brick().scan_range(self.scan);
-                self.run_pos = runs.start;
-                self.run_end = runs.end;
-                self.vox_pos = voxels.start;
-                self.synthetic = 0;
-                self.payload = Some(handle);
-            }
-        }
-    }
-
-    #[inline]
-    fn exhausted(&self) -> bool {
-        self.bi >= self.nb_i
-    }
-
-    /// Moves to the next run segment, crossing column boundaries as needed.
-    /// If the last column's runs are consumed this marks the cursor
-    /// exhausted without emitting a segment (the callers re-check).
-    #[inline]
-    fn advance<T: Tracer>(&mut self, tracer: &mut T) {
-        if self.opaque {
-            self.vox_pos += (self.seg_hi - self.seg_lo) as usize;
-        }
-        loop {
-            if self.synthetic > 0 {
-                let len = self.synthetic;
-                self.synthetic = 0;
-                tracer.work(WorkKind::Traverse, costs::RUN_ADVANCE);
-                self.seg_lo = self.seg_hi;
-                self.seg_hi = self.seg_lo + len;
-                self.opaque = false;
-                return;
-            }
-            if self.run_pos < self.run_end {
-                let brick = self
-                    .payload
-                    .as_ref()
-                    .expect("non-synthetic column has a payload")
-                    .brick();
-                let len = brick.runs()[self.run_pos];
-                if T::TRACING {
-                    tracer.read(&brick.runs()[self.run_pos] as *const u8 as usize, 1);
-                }
-                tracer.work(WorkKind::Traverse, costs::RUN_ADVANCE);
-                self.run_pos += 1;
-                self.seg_lo = self.seg_hi;
-                self.seg_hi = self.seg_lo + len as i64;
-                self.opaque = !self.opaque;
-                return;
-            }
-            self.bi += 1;
-            if self.exhausted() {
-                self.payload = None;
-                return;
-            }
-            // Phase baseline at the boundary: the next column's scanline
-            // starts with its own (possibly zero-length) transparent run.
-            self.opaque = true;
-            self.enter_column();
-        }
-    }
-}
-
-impl VoxelCursor for BrickCursor<'_> {
-    #[inline]
-    fn query<T: Tracer>(&mut self, i: i64, tracer: &mut T) -> Option<RgbaVoxel> {
-        if i < 0 || i >= self.n_i {
-            return None;
-        }
-        while self.seg_hi <= i {
-            if self.exhausted() {
-                return None;
-            }
-            self.advance(tracer);
-        }
-        if self.opaque && i >= self.seg_lo {
-            let brick = self
-                .payload
-                .as_ref()
-                .expect("opaque segment lives in a payload brick")
-                .brick();
-            let idx = self.vox_pos + (i - self.seg_lo) as usize;
-            let v = brick.voxels()[idx];
-            if T::TRACING {
-                tracer.read(&brick.voxels()[idx] as *const RgbaVoxel as usize, 4);
-            }
-            tracer.work(WorkKind::Composite, costs::VOXEL_FETCH);
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn next_opaque_at_or_after<T: Tracer>(&mut self, i: i64, tracer: &mut T) -> i64 {
-        loop {
-            if self.opaque && self.seg_hi > i {
-                return self.seg_lo.max(i);
-            }
-            if self.exhausted() {
-                return self.n_i;
-            }
-            self.advance(tracer);
-        }
-    }
-}
-
 /// A per-axis voxel source the compositing kernel can open scanline cursors
-/// on: the flat [`RleEncoding`] or a [`BrickedEncoding`]. Monomorphizing
+/// on: the flat [`RleEncoding`], or a band loop's pinned rows of a
+/// [`BrickedEncoding`](swr_volume::BrickedEncoding). Monomorphizing
 /// [`composite_kernel`] over this keeps the flat path's machine code exactly
-/// what it was before bricking existed.
-pub(crate) trait SliceSrc<'v>: Copy {
-    type Cursor: VoxelCursor;
-
+/// what it was before bricking existed; both walk their scanlines with the
+/// one [`RunCursor`].
+pub(crate) trait SliceSrc {
     /// Standard-object dimensions `[n_i, n_j, n_k]`.
-    fn src_std_dims(self) -> [usize; 3];
+    fn src_std_dims(&self) -> [usize; 3];
 
-    /// Conservative non-empty `j` bounds of slice `k` (superset is safe:
-    /// empty scanlines composite nothing).
-    fn src_slice_nonempty_bounds(self, k: usize) -> Option<(usize, usize)>;
-
-    /// Opens a cursor on scanline `(k, j)`, emitting any per-scanline index
-    /// loads to the tracer.
-    fn make_cursor<T: Tracer>(self, k: usize, j: usize, n_i: i64, tracer: &mut T) -> Self::Cursor;
-}
-
-impl<'v> SliceSrc<'v> for &'v RleEncoding {
-    type Cursor = RunCursor<'v>;
-
-    #[inline]
-    fn src_std_dims(self) -> [usize; 3] {
-        self.std_dims()
-    }
-
-    #[inline]
-    fn src_slice_nonempty_bounds(self, k: usize) -> Option<(usize, usize)> {
-        self.slice_nonempty_bounds(k)
-    }
-
-    #[inline]
-    fn make_cursor<T: Tracer>(self, k: usize, j: usize, n_i: i64, tracer: &mut T) -> RunCursor<'v> {
-        if T::TRACING {
-            let (ra, va) = self.scanline_index_addrs(k, j);
-            tracer.read(ra, 4);
-            tracer.read(va, 4);
-        }
-        RunCursor::new(self.scanline(k, j), n_i)
-    }
-}
-
-impl<'v> SliceSrc<'v> for &'v BrickedEncoding {
-    type Cursor = BrickCursor<'v>;
-
-    #[inline]
-    fn src_std_dims(self) -> [usize; 3] {
-        self.std_dims()
-    }
-
-    #[inline]
-    fn src_slice_nonempty_bounds(self, k: usize) -> Option<(usize, usize)> {
-        self.slice_nonempty_bounds(k)
-    }
-
-    #[inline]
-    fn make_cursor<T: Tracer>(
-        self,
+    /// Opens cursors on the two source voxel scanlines `(k, rows.0)` and
+    /// `(k, rows.1)` of one step, emitting any per-scanline index loads to
+    /// the tracer.
+    fn open<T: Tracer>(
+        &mut self,
         k: usize,
-        j: usize,
+        rows: (Option<usize>, Option<usize>),
+        n_i: i64,
+        tracer: &mut T,
+    ) -> (Option<RunCursor<'_>>, Option<RunCursor<'_>>);
+}
+
+impl<'v> SliceSrc for &'v RleEncoding {
+    #[inline]
+    fn src_std_dims(&self) -> [usize; 3] {
+        self.std_dims()
+    }
+
+    #[inline]
+    fn open<T: Tracer>(
+        &mut self,
+        k: usize,
+        rows: (Option<usize>, Option<usize>),
+        n_i: i64,
+        tracer: &mut T,
+    ) -> (Option<RunCursor<'v>>, Option<RunCursor<'v>>) {
+        let enc = *self;
+        let mk = |j: Option<usize>, tracer: &mut T| {
+            let j = j?;
+            if T::TRACING {
+                let (ra, va) = enc.scanline_index_addrs(k, j);
+                tracer.read(ra, 4);
+                tracer.read(va, 4);
+            }
+            Some(RunCursor::new(enc.scanline(k, j), n_i))
+        };
+        let a = mk(rows.0, tracer);
+        let b = mk(rows.1, tracer);
+        (a, b)
+    }
+}
+
+impl SliceSrc for &mut PinnedRows<'_> {
+    #[inline]
+    fn src_std_dims(&self) -> [usize; 3] {
+        self.enc.std_dims()
+    }
+
+    #[inline]
+    fn open<T: Tracer>(
+        &mut self,
+        k: usize,
+        rows: (Option<usize>, Option<usize>),
         n_i: i64,
         _tracer: &mut T,
-    ) -> BrickCursor<'v> {
-        // The bricked layout has no flat scanline index array; the per-brick
-        // scan tables are read inside the cursor, so no extra index loads
-        // are traced here.
-        BrickCursor::new(self, k, j, n_i)
+    ) -> (Option<RunCursor<'_>>, Option<RunCursor<'_>>) {
+        // Both scanlines are stitched before either cursor borrows one. The
+        // bricked layout has no flat scanline index array and the stitch is
+        // not reported to the tracer (memsim captures replay the flat layout
+        // only); the cursors' own loads are, at the stitched addresses.
+        let a = rows.0.map(|j| self.stitch(k, j));
+        let b = rows.1.map(|j| self.stitch(k, j));
+        let open = |slot| RunCursor::new(self.line(slot), n_i);
+        (a.map(open), b.map(open))
     }
 }
 
@@ -483,22 +279,6 @@ fn select_rows(jf: f64, n_j: i64) -> (f32, Option<usize>, Option<usize>) {
     let jb = j0 + 1;
     let row_b = (jb >= 0 && jb < n_j && wj > 0.0).then_some(jb as usize);
     (wj, row_a, row_b)
-}
-
-/// Opens run cursors on the two source voxel scanlines (emitting any
-/// scanline-index loads to the tracer). Shared by both compositing paths.
-#[inline]
-fn make_cursors<'e, E: SliceSrc<'e>, T: Tracer>(
-    enc: E,
-    k: usize,
-    rows: (Option<usize>, Option<usize>),
-    n_i: i64,
-    tracer: &mut T,
-) -> (Option<E::Cursor>, Option<E::Cursor>) {
-    let mk = |j: Option<usize>, tracer: &mut T| Some(enc.make_cursor(k, j?, n_i, tracer));
-    let a = mk(rows.0, tracer);
-    let b = mk(rows.1, tracer);
-    (a, b)
 }
 
 /// Early-ray-termination hop from pixel `x`, charging the modeled
@@ -529,9 +309,9 @@ fn skip_opaque<T: Tracer, const STATS: bool>(
 /// loads and work the tracer observes exactly.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn blend_footprint<C: VoxelCursor, T: Tracer, const STATS: bool>(
-    cur_a: &mut Option<C>,
-    cur_b: &mut Option<C>,
+fn blend_footprint<T: Tracer, const STATS: bool>(
+    cur_a: &mut Option<RunCursor<'_>>,
+    cur_b: &mut Option<RunCursor<'_>>,
     i0: i64,
     wgts: [f32; 4],
     cue: Option<f32>,
@@ -649,10 +429,10 @@ pub(crate) trait FootprintSink {
     /// destination pixel `x` in `row`. Must leave the cursors exactly as
     /// [`blend_footprint`] would.
     #[allow(clippy::too_many_arguments)]
-    fn footprint<C: VoxelCursor, T: Tracer, const STATS: bool>(
+    fn footprint<T: Tracer, const STATS: bool>(
         &mut self,
-        cur_a: &mut Option<C>,
-        cur_b: &mut Option<C>,
+        cur_a: &mut Option<RunCursor<'_>>,
+        cur_b: &mut Option<RunCursor<'_>>,
         i0: i64,
         wgts: [f32; 4],
         cue: Option<f32>,
@@ -676,10 +456,10 @@ pub(crate) struct BlendNow;
 
 impl FootprintSink for BlendNow {
     #[inline(always)]
-    fn footprint<C: VoxelCursor, T: Tracer, const STATS: bool>(
+    fn footprint<T: Tracer, const STATS: bool>(
         &mut self,
-        cur_a: &mut Option<C>,
-        cur_b: &mut Option<C>,
+        cur_a: &mut Option<RunCursor<'_>>,
+        cur_b: &mut Option<RunCursor<'_>>,
         i0: i64,
         wgts: [f32; 4],
         cue: Option<f32>,
@@ -689,7 +469,7 @@ impl FootprintSink for BlendNow {
         stats: &mut ScanlineSliceStats,
         tracer: &mut T,
     ) {
-        blend_footprint::<C, T, STATS>(cur_a, cur_b, i0, wgts, cue, row, x, opts, stats, tracer);
+        blend_footprint::<T, STATS>(cur_a, cur_b, i0, wgts, cue, row, x, opts, stats, tracer);
     }
 
     #[inline(always)]
@@ -714,11 +494,12 @@ pub fn composite_scanline_slice<T: Tracer>(
     kernel_for::<_, T, true>(kernel, enc, fact, row, k, opts, tracer)
 }
 
-/// [`composite_scanline_slice`] over either storage layout. The dispatch
-/// happens once per `(scanline, slice)` step; the kernel itself is
+/// [`composite_scanline_slice`] over either storage layout, from a band
+/// loop's [`BrickRowPin`] or — the one-shot form — a bare [`AxisSrc`]. The
+/// dispatch happens once per `(scanline, slice)` step; the kernel itself is
 /// monomorphized per layout.
-pub fn composite_scanline_slice_src<T: Tracer>(
-    src: AxisSrc<'_>,
+pub fn composite_scanline_slice_src<'a, T: Tracer>(
+    src: impl StepSrc<'a>,
     fact: &Factorization,
     row: &mut RowView<'_>,
     k: usize,
@@ -726,10 +507,7 @@ pub fn composite_scanline_slice_src<T: Tracer>(
     tracer: &mut T,
 ) -> ScanlineSliceStats {
     let kernel = crate::simd::dispatched_kernel();
-    match src {
-        AxisSrc::Flat(enc) => kernel_for::<_, T, true>(kernel, enc, fact, row, k, opts, tracer),
-        AxisSrc::Bricked(enc) => kernel_for::<_, T, true>(kernel, enc, fact, row, k, opts, tracer),
-    }
+    src.with_pin(|pin| pinned_kernel_for::<T, true>(kernel, pin, fact, row, k, opts, tracer))
 }
 
 /// The untraced fast path: identical traversal and pixel arithmetic as
@@ -750,9 +528,10 @@ pub fn composite_scanline_slice_untraced(
     composite_scanline_slice_untraced_with(kernel, enc, fact, row, k, opts)
 }
 
-/// [`composite_scanline_slice_untraced`] over either storage layout.
-pub fn composite_scanline_slice_untraced_src(
-    src: AxisSrc<'_>,
+/// [`composite_scanline_slice_untraced`] over either storage layout (see
+/// [`composite_scanline_slice_src`]).
+pub fn composite_scanline_slice_untraced_src<'a>(
+    src: impl StepSrc<'a>,
     fact: &Factorization,
     row: &mut RowView<'_>,
     k: usize,
@@ -777,27 +556,42 @@ pub fn composite_scanline_slice_untraced_with(
 }
 
 /// [`composite_scanline_slice_untraced_with`] over either storage layout.
-pub fn composite_scanline_slice_untraced_with_src(
+pub fn composite_scanline_slice_untraced_with_src<'a>(
     kernel: crate::simd::SimdKernel,
-    src: AxisSrc<'_>,
+    src: impl StepSrc<'a>,
     fact: &Factorization,
     row: &mut RowView<'_>,
     k: usize,
     opts: &CompositeOpts,
 ) -> u64 {
     let t = &mut NullTracer;
-    let stats = match src {
-        AxisSrc::Flat(enc) => kernel_for::<_, _, false>(kernel, enc, fact, row, k, opts, t),
-        AxisSrc::Bricked(enc) => kernel_for::<_, _, false>(kernel, enc, fact, row, k, opts, t),
-    };
-    stats.composited
+    src.with_pin(|pin| pinned_kernel_for::<_, false>(kernel, pin, fact, row, k, opts, t))
+        .composited
+}
+
+/// [`kernel_for`] on whichever layout `pin` is over.
+fn pinned_kernel_for<T: Tracer, const STATS: bool>(
+    kernel: crate::simd::SimdKernel,
+    pin: &mut BrickRowPin<'_>,
+    fact: &Factorization,
+    row: &mut RowView<'_>,
+    k: usize,
+    opts: &CompositeOpts,
+    tracer: &mut T,
+) -> ScanlineSliceStats {
+    match &mut pin.0 {
+        Pinned::Flat(enc) => kernel_for::<_, T, STATS>(kernel, *enc, fact, row, k, opts, tracer),
+        Pinned::Bricked(rows) => {
+            kernel_for::<_, T, STATS>(kernel, rows, fact, row, k, opts, tracer)
+        }
+    }
 }
 
 /// Picks the footprint sink for one `(scanline, slice)` step, monomorphized
 /// per storage layout: the lane-batching sink of `kernel` when nothing
 /// observes individual taps (`T::TRACING == false`), the scalar reference
 /// otherwise — also for a `kernel` the host cannot run.
-fn kernel_for<'v, E: SliceSrc<'v>, T: Tracer, const STATS: bool>(
+fn kernel_for<E: SliceSrc, T: Tracer, const STATS: bool>(
     kernel: crate::simd::SimdKernel,
     enc: E,
     fact: &Factorization,
@@ -826,8 +620,8 @@ fn kernel_for<'v, E: SliceSrc<'v>, T: Tracer, const STATS: bool>(
 /// (`STATS = false` compiles the bookkeeping away; only `composited` is
 /// counted).
 #[allow(clippy::too_many_arguments)]
-fn composite_kernel<'v, E: SliceSrc<'v>, T: Tracer, S: FootprintSink, const STATS: bool>(
-    enc: E,
+fn composite_kernel<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>(
+    mut enc: E,
     fact: &Factorization,
     row: &mut RowView<'_>,
     k: usize,
@@ -857,7 +651,7 @@ fn composite_kernel<'v, E: SliceSrc<'v>, T: Tracer, S: FootprintSink, const STAT
         stats.work += costs::SCANLINE_SETUP as u64;
     }
 
-    let (mut cur_a, mut cur_b) = make_cursors(enc, k, (row_a, row_b), n_i as i64, tracer);
+    let (mut cur_a, mut cur_b) = enc.open(k, (row_a, row_b), n_i as i64, tracer);
 
     // Pixel range whose bilinear footprint {i0, i0+1} intersects [0, n_i).
     let w = row.width() as i64;
@@ -911,7 +705,7 @@ fn composite_kernel<'v, E: SliceSrc<'v>, T: Tracer, S: FootprintSink, const STAT
             continue;
         }
 
-        sink.footprint::<_, T, STATS>(
+        sink.footprint::<T, STATS>(
             &mut cur_a, &mut cur_b, i0, wgts, cue, row, x as usize, opts, &mut stats, tracer,
         );
         x += 1;
@@ -927,8 +721,8 @@ fn composite_kernel<'v, E: SliceSrc<'v>, T: Tracer, S: FootprintSink, const STAT
 /// per-pixel epilogue, and the coherence optimizations with the unit-scale
 /// fast path.
 #[allow(clippy::too_many_arguments)]
-fn composite_scaled<'v, E: SliceSrc<'v>, T: Tracer, S: FootprintSink, const STATS: bool>(
-    enc: E,
+fn composite_scaled<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>(
+    mut enc: E,
     fact: &Factorization,
     row: &mut RowView<'_>,
     k: usize,
@@ -955,7 +749,7 @@ fn composite_scaled<'v, E: SliceSrc<'v>, T: Tracer, S: FootprintSink, const STAT
     }
     let cue = opts.depth_cue.map(|c| c.factor(fact.depth_of_slice(k)));
 
-    let (mut cur_a, mut cur_b) = make_cursors(enc, k, (row_a, row_b), n_i as i64, tracer);
+    let (mut cur_a, mut cur_b) = enc.open(k, (row_a, row_b), n_i as i64, tracer);
 
     // Pixel range whose source coordinate i = (x − off_u)/s has footprint
     // {i0, i0+1} intersecting [0, n_i).
@@ -1005,7 +799,7 @@ fn composite_scaled<'v, E: SliceSrc<'v>, T: Tracer, S: FootprintSink, const STAT
         let wx0 = 1.0 - fx;
         let wx1 = fx;
         let wgts = [w_a * wx0, w_a * wx1, w_b * wx0, w_b * wx1];
-        sink.footprint::<_, T, STATS>(
+        sink.footprint::<T, STATS>(
             &mut cur_a, &mut cur_b, i0, wgts, cue, row, x as usize, opts, &mut stats, tracer,
         );
         x += 1;
@@ -1018,29 +812,19 @@ fn composite_scaled<'v, E: SliceSrc<'v>, T: Tracer, S: FootprintSink, const STAT
 /// smallest `y` range outside which no slice deposits any voxel. The new
 /// parallel algorithm composites (and profiles) only this band.
 pub fn occupied_y_bounds(enc: &RleEncoding, fact: &Factorization) -> Option<(usize, usize)> {
-    occupied_y_bounds_impl(enc, fact)
+    occupied_y_bounds_src(AxisSrc::Flat(enc), fact)
 }
 
 /// [`occupied_y_bounds`] over either storage layout. The bricked layout's
 /// slice bounds are brick-granular and therefore a conservative superset of
 /// the flat bounds — safe because empty scanlines composite nothing.
 pub fn occupied_y_bounds_src(src: AxisSrc<'_>, fact: &Factorization) -> Option<(usize, usize)> {
-    match src {
-        AxisSrc::Flat(enc) => occupied_y_bounds_impl(enc, fact),
-        AxisSrc::Bricked(enc) => occupied_y_bounds_impl(enc, fact),
-    }
-}
-
-fn occupied_y_bounds_impl<'v, E: SliceSrc<'v>>(
-    enc: E,
-    fact: &Factorization,
-) -> Option<(usize, usize)> {
-    let n_k = enc.src_std_dims()[2];
+    let n_k = src.std_dims()[2];
     let h = fact.inter_h as f64;
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for k in 0..n_k {
-        if let Some((j_lo, j_hi)) = enc.src_slice_nonempty_bounds(k) {
+        if let Some((j_lo, j_hi)) = src.slice_nonempty_bounds(k) {
             let xf = fact.slice_xform(k);
             lo = lo.min(xf.off_v + xf.scale * j_lo as f64 - 1.0);
             hi = hi.max(xf.off_v + xf.scale * j_hi as f64 + 1.0);
@@ -1431,7 +1215,7 @@ mod tests {
 
     #[test]
     fn bricked_source_is_bit_identical_to_flat() {
-        // The same scene through a BrickCursor (brick extent 7 forces seams
+        // The same scene stitched out of bricks (brick extent 7 forces seams
         // inside runs and 1-voxel-tail columns on 20-wide scanlines) must
         // produce bit-identical pixels, the same composited count, and the
         // same composite-kind modeled cycles as the flat RunCursor, traced
@@ -1517,7 +1301,25 @@ mod tests {
     #[test]
     fn batch_sink_stats_equal_the_scalar_reference_on_every_kernel() {
         use crate::simd::{BatchSink, SimdKernel};
-        fn sweep<'v, E: SliceSrc<'v>>(kernel: SimdKernel, enc: E, fact: &Factorization) {
+        fn step<S: FootprintSink>(
+            src: AxisSrc<'_>,
+            fact: &Factorization,
+            row: &mut RowView<'_>,
+            k: usize,
+            opts: &CompositeOpts,
+            sink: &mut S,
+        ) -> ScanlineSliceStats {
+            let t = &mut NullTracer;
+            match &mut BrickRowPin::new(src).0 {
+                Pinned::Flat(enc) => {
+                    composite_kernel::<_, _, _, true>(*enc, fact, row, k, opts, t, sink)
+                }
+                Pinned::Bricked(rows) => {
+                    composite_kernel::<_, _, _, true>(rows, fact, row, k, opts, t, sink)
+                }
+            }
+        }
+        fn sweep(kernel: SimdKernel, src: AxisSrc<'_>, fact: &Factorization) {
             for profile in [false, true] {
                 let opts = CompositeOpts {
                     profile,
@@ -1529,22 +1331,14 @@ mod tests {
                 for y in 0..fact.inter_h {
                     for m in 0..fact.slice_count() {
                         let k = fact.slice_for_step(m);
-                        let scalar = composite_kernel::<_, _, _, true>(
-                            enc,
-                            fact,
-                            &mut img_s.row_view(y),
-                            k,
-                            &opts,
-                            &mut NullTracer,
-                            &mut BlendNow,
-                        );
-                        let batched = composite_kernel::<_, _, _, true>(
-                            enc,
+                        let scalar =
+                            step(src, fact, &mut img_s.row_view(y), k, &opts, &mut BlendNow);
+                        let batched = step(
+                            src,
                             fact,
                             &mut img_v.row_view(y),
                             k,
                             &opts,
-                            &mut NullTracer,
                             &mut BatchSink::new(kernel),
                         );
                         assert_eq!(batched, scalar, "{}: row {y} slice {k}", kernel.name());
@@ -1572,8 +1366,16 @@ mod tests {
                 ViewSpec::new(dims).rotate_y(0.29).with_perspective(51.0),
             ] {
                 let fact = swr_geom::Factorization::from_view(&view);
-                sweep(kernel, enc_all.for_axis(fact.principal), &fact);
-                sweep(kernel, bricked.for_axis(fact.principal), &fact);
+                sweep(
+                    kernel,
+                    AxisSrc::Flat(enc_all.for_axis(fact.principal)),
+                    &fact,
+                );
+                sweep(
+                    kernel,
+                    AxisSrc::Bricked(bricked.for_axis(fact.principal)),
+                    &fact,
+                );
             }
         }
     }

@@ -43,6 +43,6 @@ pub use image::{
 };
 pub use serial::{SerialRenderer, SerialStats};
 pub use simd::{dispatched_kernel, set_force_scalar, simd_compiled, SimdKernel};
-pub use source::{AxisSrc, VolumeSrc};
+pub use source::{AxisSrc, BrickRowPin, StepSrc, VolumeSrc};
 pub use tracer::{CountingTracer, NullTracer, Tracer, WorkKind};
 pub use warp::{warp_full, warp_row_band, warp_tile, InterSource, Tile};

@@ -5,7 +5,7 @@ use crate::composite::{
     ScanlineSliceStats,
 };
 use crate::image::{FinalImage, IntermediateImage};
-use crate::source::VolumeSrc;
+use crate::source::{BrickRowPin, VolumeSrc};
 use crate::tracer::{NullTracer, Tracer};
 use crate::warp::warp_full;
 use swr_error::Error;
@@ -168,7 +168,11 @@ impl SerialRenderer {
         let t0 = clock.now_us();
 
         // Slice-major traversal, front-to-back — the serial storage-order
-        // streaming that gives shear-warp its uniprocessor speed.
+        // streaming that gives shear-warp its uniprocessor speed. The whole
+        // image is one band, taller than the two brick rows a pin holds, so
+        // bricks stay pinned across a slice's scanlines but not its slab's
+        // slices.
+        let mut pin = BrickRowPin::new(rle);
         for m in 0..fact.slice_count() {
             let k = fact.slice_for_step(m);
             // Only the scanlines this slice can touch: its voxel rows span
@@ -181,9 +185,10 @@ impl SerialRenderer {
                 let mut row = inter.row_view(y);
                 if fast {
                     stats.composite.composited +=
-                        composite_scanline_slice_untraced_src(rle, &fact, &mut row, k, &opts);
+                        composite_scanline_slice_untraced_src(&mut pin, &fact, &mut row, k, &opts);
                 } else {
-                    let s = composite_scanline_slice_src(rle, &fact, &mut row, k, &opts, tracer);
+                    let s =
+                        composite_scanline_slice_src(&mut pin, &fact, &mut row, k, &opts, tracer);
                     if let Some(p) = profile.as_deref_mut() {
                         p[y] += s.work;
                     }

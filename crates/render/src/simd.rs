@@ -53,9 +53,7 @@
 //! pins the scalar reference kernel for A/B comparisons.
 
 #[cfg(feature = "simd")]
-use crate::composite::{
-    charge_pixel, CompositeOpts, FootprintSink, ScanlineSliceStats, VoxelCursor,
-};
+use crate::composite::{charge_pixel, CompositeOpts, FootprintSink, RunCursor, ScanlineSliceStats};
 #[cfg(feature = "simd")]
 use crate::image::{IPixel, RowView};
 #[cfg(feature = "simd")]
@@ -311,10 +309,10 @@ const PAD_LANE: u32 = u32::MAX;
 #[cfg(feature = "simd")]
 impl FootprintSink for BatchSink {
     #[inline]
-    fn footprint<C: VoxelCursor, T: Tracer, const STATS: bool>(
+    fn footprint<T: Tracer, const STATS: bool>(
         &mut self,
-        cur_a: &mut Option<C>,
-        cur_b: &mut Option<C>,
+        cur_a: &mut Option<RunCursor<'_>>,
+        cur_b: &mut Option<RunCursor<'_>>,
         i0: i64,
         wgts: [f32; 4],
         cue: Option<f32>,

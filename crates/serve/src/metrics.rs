@@ -27,7 +27,7 @@
 //! | `serve.faults_injected`  | counter | chaos faults armed via the wire           |
 //! | `serve.flight_dumps`     | counter | flight-recorder forensics files written   |
 //! | `serve.brick_evictions`  | counter | streamed-brick cache evictions (thrash)   |
-//! | `serve.brick_resident_bytes` | gauge | bytes resident in the streamed-brick cache |
+//! | `serve.brick_resident_bytes` | gauge | bytes resident in the streamed-brick cache (each render worker's brick-row pin holds up to 2 × `nb_i` more bricks outside it) |
 //! | `serve.scrapes`          | counter | metrics expositions served                |
 //! | `serve.frame_latency_ms` | histogram | arrival → frame-response latency        |
 //! | `serve.queue_wait_ms`    | histogram | arrival → dequeue wait                  |

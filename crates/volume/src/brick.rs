@@ -9,11 +9,11 @@
 //! 32³ voxels):
 //!
 //! * Each brick owns the run/voxel sub-streams of the scanline segments that
-//!   fall inside its `i`-extent, with per-brick scanline offset tables — a
-//!   compositor cursor touches only brick-local memory while crossing it.
+//!   fall inside its `i`-extent, with per-brick scanline offset tables — the
+//!   compositor reads a voxel scanline out of one row of bricks.
 //! * Per-brick metadata ([`BrickMeta`]: min/max stored opacity, stored voxel
 //!   count, payload bytes) always stays in RAM. A brick with no stored
-//!   voxels has **no payload at all**; the cursor skips its whole `i`-extent
+//!   voxels has **no payload at all**; its whole `i`-extent is transparent
 //!   from metadata alone.
 //! * Payloads either stay resident ([`BrickedVolume::from_encoded`]) or
 //!   spill to an anonymous chunk file and decode lazily through a sharded
@@ -146,53 +146,63 @@ impl Brick {
     }
 
     /// Inverse of [`Brick::serialize`]. Returns `None` on a malformed blob
-    /// (truncated read, corrupt spill file).
+    /// (truncated read, corrupt spill file): the three header counts must
+    /// account for `buf.len()` exactly — checked before anything is
+    /// allocated, so a corrupt header cannot request more memory than the
+    /// blob it came in — and both offset tables must be non-decreasing and
+    /// end at the run / voxel counts, so every [`Brick::scan_range`] of the
+    /// result slices in bounds.
     fn deserialize(buf: &[u8]) -> Option<Brick> {
-        let u32_at = |off: usize| -> Option<u32> {
-            buf.get(off..off + 4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        };
-        let nscan = u32_at(0)? as usize;
-        let nruns = u32_at(4)? as usize;
-        let nvox = u32_at(8)? as usize;
-        let mut off = 12usize;
-        let read_u32s = |n: usize, off: &mut usize| -> Option<Vec<u32>> {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(u32_at(*off)?);
-                *off += 4;
-            }
-            Some(v)
-        };
-        let scan_run_start = read_u32s(nscan + 1, &mut off)?;
-        let scan_vox_start = read_u32s(nscan + 1, &mut off)?;
-        let runs = buf.get(off..off + nruns)?.to_vec();
-        off += nruns;
-        let mut voxels = Vec::with_capacity(nvox);
-        for _ in 0..nvox {
-            let b = buf.get(off..off + 4)?;
-            voxels.push(RgbaVoxel {
-                r: b[0],
-                g: b[1],
-                b: b[2],
-                a: b[3],
-            });
-            off += 4;
+        let le32 = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let header = buf.get(..12)?;
+        let nscan = le32(&header[0..4]) as usize;
+        let nruns = le32(&header[4..8]) as usize;
+        let nvox = le32(&header[8..12]) as usize;
+        let table = nscan.checked_add(1)?.checked_mul(4)?;
+        let total = 12usize
+            .checked_add(table.checked_mul(2)?)?
+            .checked_add(nruns)?
+            .checked_add(nvox.checked_mul(4)?)?;
+        if total != buf.len() {
+            return None;
         }
+        let (run_table, rest) = buf[12..].split_at(table);
+        let (vox_table, rest) = rest.split_at(table);
+        let (runs, voxels) = rest.split_at(nruns);
+        let offsets = |bytes: &[u8], end: usize| -> Option<Vec<u32>> {
+            let v: Vec<u32> = bytes.chunks_exact(4).map(le32).collect();
+            let ordered = v.windows(2).all(|w| w[0] <= w[1]);
+            (ordered && v.last().copied() == Some(end as u32)).then_some(v)
+        };
         Some(Brick {
-            runs,
-            voxels,
-            scan_run_start,
-            scan_vox_start,
+            scan_run_start: offsets(run_table, nruns)?,
+            scan_vox_start: offsets(vox_table, nvox)?,
+            runs: runs.to_vec(),
+            voxels: voxels
+                .chunks_exact(4)
+                .map(|c| RgbaVoxel {
+                    r: c[0],
+                    g: c[1],
+                    b: c[2],
+                    a: c[3],
+                })
+                .collect(),
         })
     }
 }
 
 /// Borrowed or cache-held access to one brick's payload. The `Cached`
-/// variant owns an `Arc` so a brick evicted from the cache while a cursor
-/// is mid-traversal stays alive until the cursor drops it (the budget
-/// accounts cache-resident bytes; transient in-flight bricks are bounded by
-/// O(threads × 4 cursors)).
+/// variant owns an `Arc`, so a brick evicted from the cache while it is
+/// still in use stays alive until its last handle drops.
+///
+/// The renderers hold handles in a per-chunk brick-row pin
+/// (`swr_render::BrickRowPin`), not per cursor: a worker keeps the handles
+/// of at most **2 brick rows × `nb_i` bricks** — the rows feeding the
+/// scanline it is compositing — and drops them when its chunk moves on.
+/// That is the in-flight bound. It lies *outside* the cache's accounting:
+/// the budget (and `peak_resident_bytes ≤ budget_bytes`) covers
+/// cache-resident bytes only, so under a starved budget a process holds up
+/// to `threads × 2 × nb_i` evicted-but-pinned bricks on top of it.
 pub enum BrickHandle<'a> {
     /// Payload lives in the resident store.
     Resident(&'a Brick),
@@ -213,7 +223,10 @@ impl BrickHandle<'_> {
 
 /// Counter snapshot of a [`BrickCache`] (all zeros for a fully resident
 /// volume). `peak_resident_bytes ≤ budget_bytes` is the bounded-resident-set
-/// guarantee `swrender --resident-mb` asserts.
+/// guarantee `swrender --resident-mb` asserts. A renderer looks a brick up
+/// when a band loop's pin first needs its brick row (see [`BrickHandle`]),
+/// so `hits` counts pin fills — one per brick of each brick row a chunk
+/// of scanlines enters — not voxel-scanline reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrickCacheStats {
     /// Lookups served from the cache.
@@ -1229,6 +1242,101 @@ mod tests {
             assert_eq!(back.voxels.len(), h.brick().voxels.len());
             assert_eq!(back.scan_run_start, h.brick().scan_run_start);
             assert_eq!(back.scan_vox_start, h.brick().scan_vox_start);
+        }
+    }
+
+    /// Serialized payloads of every occupied brick of a seeded volume with
+    /// runs, gaps and tail bricks on all three axes.
+    fn built_blobs(dims: [usize; 3], brick: usize, seed: usize) -> Vec<(Brick, Vec<u8>)> {
+        let v = vol_from(dims, |x, y, z| {
+            let h = (x * 31 + y * 17 + z * 7 + seed * 13) % 11;
+            if h < 5 {
+                (20 + h * 40 + seed % 16) as u8
+            } else {
+                0
+            }
+        });
+        let enc = EncodedVolume::encode_with_threshold(&v, 1);
+        let bricked = BrickedVolume::from_encoded(&enc, brick);
+        let mut out = Vec::new();
+        for axis in [Axis::X, Axis::Y, Axis::Z] {
+            let br = bricked.for_axis(axis);
+            for id in 0..br.grid().iter().product::<usize>() {
+                if let Some(h) = br.payload(id) {
+                    let mut blob = Vec::new();
+                    h.brick().serialize(&mut blob);
+                    out.push((h.brick().clone(), blob));
+                }
+            }
+        }
+        out
+    }
+
+    /// What `deserialize` owes a hostile blob: `None`, or a brick no bigger
+    /// than the blob whose every scanline slices in bounds.
+    fn assert_bounded_by_input(buf: &[u8]) {
+        let Some(b) = Brick::deserialize(buf) else {
+            return;
+        };
+        assert!(
+            b.heap_bytes() <= buf.len(),
+            "{} heap bytes from a {}-byte blob",
+            b.heap_bytes(),
+            buf.len()
+        );
+        for scan in 0..b.scan_count() {
+            let (rr, vr) = b.scan_range(scan);
+            let _ = (&b.runs()[rr], &b.voxels()[vr]);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn built_bricks_round_trip_exactly(
+            nx in 1usize..14,
+            ny in 1usize..10,
+            nz in 1usize..8,
+            brick in 1usize..9,
+            seed in 0usize..1000,
+        ) {
+            for (b, blob) in built_blobs([nx, ny, nz], brick, seed) {
+                let back = Brick::deserialize(&blob).expect("round trip");
+                proptest::prop_assert_eq!(&back.runs, &b.runs);
+                proptest::prop_assert_eq!(&back.voxels, &b.voxels);
+                proptest::prop_assert_eq!(&back.scan_run_start, &b.scan_run_start);
+                proptest::prop_assert_eq!(&back.scan_vox_start, &b.scan_vox_start);
+                proptest::prop_assert_eq!(back.heap_bytes() + 12, blob.len());
+            }
+        }
+
+        #[test]
+        fn hostile_blobs_never_panic_or_outgrow_their_input(
+            bytes in proptest::collection::vec(0u16..256, 0..96),
+            counts in (0u32..40, 0u32..40, 0u32..40),
+            huge in 0usize..3,
+            seed in 0usize..1000,
+            cut in 0usize..4096,
+            poke in (0usize..4096, 0u16..256),
+        ) {
+            // Arbitrary bytes.
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            assert_bounded_by_input(&bytes);
+            // A plausible header — or one count at `u32::MAX`, the 16 GiB
+            // request — in front of them.
+            let mut counts = [counts.0, counts.1, counts.2];
+            counts[huge] = if seed % 2 == 0 { u32::MAX } else { counts[huge] };
+            let mut framed: Vec<u8> = counts.iter().flat_map(|c| c.to_le_bytes()).collect();
+            framed.extend_from_slice(&bytes);
+            assert_bounded_by_input(&framed);
+            // A real blob, truncated and with one byte overwritten.
+            let blobs = built_blobs([9, 5, 3], 4, seed);
+            let (_, blob) = &blobs[seed % blobs.len()];
+            let mut hurt = blob[..cut % (blob.len() + 1)].to_vec();
+            if !hurt.is_empty() {
+                let at = poke.0 % hurt.len();
+                hurt[at] = poke.1 as u8;
+            }
+            assert_bounded_by_input(&hurt);
         }
     }
 

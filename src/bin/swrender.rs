@@ -1203,6 +1203,9 @@ fn main() {
 
     // One grep-friendly line for CI budget assertions: peak never exceeds
     // the (clamped) budget by construction of the reserve-before-admit cache.
+    // These are the cache's bytes: each worker's brick-row pin keeps up to
+    // 2 × nb_i bricks alive outside them. `hits` counts pin fills (one per
+    // brick a chunk's brick rows hold), not voxel-scanline reads.
     if let Some(stats) = bricked.as_ref().and_then(|v| v.cache_stats()) {
         eprintln!(
             "brick cache: hits={} misses={} evictions={} resident_bytes={} peak_resident_bytes={} budget_bytes={} within_budget={}",

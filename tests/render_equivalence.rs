@@ -796,6 +796,66 @@ mod brick_seams {
         assert_bricked_matches_flat(&enc, dims, 32, "long-gap");
     }
 
+    /// The band loops look a brick up when a chunk enters its brick row, not
+    /// once per voxel scanline: over a dense volume (every brick stored, so
+    /// the count depends on geometry alone) one new-renderer frame on one
+    /// thread makes
+    ///
+    /// `Σ_chunks Σ_slabs (brick rows the chunk enters in the slab) × nb_i`
+    ///
+    /// cache lookups. Head-on, image row `y` reads voxel row `y` of every
+    /// slice, and 4-row chunks tile the 8-row bricks, so every chunk stays
+    /// in one brick row per slab: `nb_k × (n_j / 4) × nb_i`. A sheared chunk
+    /// reads one voxel row more than it has scanlines and drifts with the
+    /// shear over a slab's 8 slices, crossing brick seams the head-on chunk
+    /// does not: these views stay within twice the head-on count (a lookup
+    /// per voxel scanline and column would be some fifty times it). The
+    /// budget is starved to a single brick, so every pinned brick is
+    /// evicted while it is pinned — and the frames are still the flat
+    /// frames, on 1, 2 and 3 threads.
+    #[test]
+    fn a_streamed_frame_looks_bricks_up_once_per_brick_row_a_chunk_enters() {
+        let dims = [32, 32, 32];
+        let (brick, chunk_rows) = (8, 4);
+        let enc = synthetic(dims, |x, y, z| 25 + ((x * 5 + y * 3 + z * 7) % 60) as u8);
+        let streamed =
+            BrickedVolume::from_encoded_streamed(&enc, brick, 1).expect("spill file in temp dir");
+        let src = VolumeSrc::Bricked(&streamed);
+        let stats = || streamed.cache_stats().expect("streamed volume has a cache");
+        let head_on = ((dims[2] / brick) * (dims[1] / chunk_rows) * (dims[0] / brick)) as u64;
+        for (name, view) in views(dims) {
+            let reference = SerialRenderer::new().render(&enc, &view);
+            for threads in 1..=3 {
+                let cfg = ParallelConfig {
+                    chunk_rows,
+                    ..ParallelConfig::with_procs(threads)
+                };
+                let before = stats();
+                let frame = NewParallelRenderer::new(cfg).render_src(src, &view);
+                let after = stats();
+                assert_eq!(frame, reference, "{name}: {threads} threads");
+                assert!(after.misses > before.misses, "{name}: nothing streamed");
+                let lookups = (after.hits + after.misses) - (before.hits + before.misses);
+                match (name, threads) {
+                    ("principal-z", 1) => assert_eq!(lookups, head_on, "{name}"),
+                    (_, 1) => assert!(
+                        (head_on / 2..=2 * head_on).contains(&lookups),
+                        "{name}: {lookups} lookups against {head_on} head-on"
+                    ),
+                    // Partition boundaries cut chunks short: more chunks,
+                    // never more than one extra brick row each.
+                    _ => assert!(lookups <= 3 * head_on, "{name}: {lookups} lookups"),
+                }
+            }
+        }
+        let end = stats();
+        assert!(end.evictions > 0, "the starved budget never evicted");
+        assert!(
+            end.peak_resident_bytes <= end.budget_bytes,
+            "resident set exceeded its budget: {end:?}"
+        );
+    }
+
     /// The forced-scalar override and the dispatched SIMD kernels must agree
     /// on the bricked path exactly as they do on the flat path.
     #[test]
