@@ -25,7 +25,7 @@ use swr_geom::{Factorization, ViewSpec};
 use swr_memsim::workload::TaskLabel;
 use swr_memsim::{CollectingTracer, FrameWorkload, StealPolicy, TaskSpec, TaskTrace};
 use swr_render::{
-    composite::occupied_y_bounds, composite_scanline_slice, warp_row_band, warp_tile,
+    composite::occupied_y_bounds, composite_scanline_slice, extend_band, warp_row_band, warp_tile,
     CompositeOpts, FinalImage, IntermediateImage, SharedFinal, Tile, Tracer, WorkKind,
 };
 use swr_volume::EncodedVolume;
@@ -405,23 +405,10 @@ impl CapturedFrame {
                 if part.is_empty() {
                     continue;
                 }
-                // The first band extends one row below the clipped region
-                // (those final pixels bilinearly read the first composited
-                // row).
-                let band_lo = if part.start == 0 {
-                    self.atoms[part.start].0.start.saturating_sub(1)
-                } else {
-                    self.atoms[part.start].0.start
-                };
-                let band_hi = self.atoms[part.end - 1].0.end;
+                let rows = self.atoms[part.start].0.start..self.atoms[part.end - 1].0.end;
+                let band = extend_band(rows, self.range.start);
                 let mut tracer = CollectingTracer::new();
-                warp_row_band(
-                    &self.inter,
-                    &self.fact,
-                    &shared,
-                    (band_lo, band_hi),
-                    &mut tracer,
-                );
+                warp_row_band(&self.inter, &self.fact, &shared, band, &mut tracer);
                 let mut deps: Vec<u32> = part.clone().map(|a| atom_task[a]).collect();
                 if part.end < natoms {
                     deps.push(atom_task[part.end]); // the boundary row's atom

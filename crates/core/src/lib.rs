@@ -29,6 +29,43 @@
 //! ([`capture`]), which records per-task memory traces for the
 //! `swr-memsim` multiprocessor models that regenerate the paper's figures.
 //!
+//! # The new algorithm's frame
+//!
+//! Natively the new algorithm's frame is one protocol, written once in the
+//! private `frame` module and run by two callers:
+//!
+//! 1. **plan** — clip to the occupied band of the intermediate image, decide
+//!    whether the work profile is stale (`profile_every` frames, or
+//!    `profile_every_degrees` of rotation, since the last profiled frame),
+//!    and cut the band into one contiguous partition per processor from the
+//!    profile's prefix sum. An empty volume is a plan like any other: an
+//!    empty band and `nprocs` empty partitions.
+//! 2. **arm** — load the partitions into per-processor steal queues in
+//!    chunks and stamp the frame's *epoch*. Row and warp completion flags
+//!    are epoch counters, complete when `>= epoch`, so a flag left by an
+//!    earlier frame never satisfies a later one and nothing is zeroed
+//!    between frames.
+//! 3. **work**, once per processor — composite the own queue, steal from the
+//!    back of the fullest victim, then wait on the flags of exactly the rows
+//!    the own band reads and warp that band. No barrier.
+//! 4. **resolve**, once every worker has left the frame — list the rows
+//!    nobody composited; repair, or return the typed error; harvest the
+//!    profile.
+//!
+//! [`NewParallelRenderer`] runs it one frame per call: it keeps the buffers
+//! and the profile between calls, spawns a scope of `nprocs` threads around
+//! *work*, and leaves the frame's telemetry in `last_telemetry`.
+//! [`AnimationPipeline`] runs it two frames at a time: a pool spawned once
+//! per animation, parked on a gate between frames, with a driver that arms
+//! frame *N+1* (in the other of two parity slots) before it resolves frame
+//! *N* and hands finished frames to the caller in order through a bounded
+//! ring. The sharded renderer (`swr-shard`) gives each band to a process
+//! instead; what it shares with the frame above are the two band rules
+//! every executor needs, `swr_render::extend_band` and
+//! `swr_render::composite_row`. The old renderer keeps its own frame — it
+//! is the paper's baseline — but takes its steal queues from the same
+//! module.
+//!
 //! # Failure model
 //!
 //! The renderers never hang and never return a torn image. Every fallible
@@ -41,35 +78,50 @@
 //!   tile size, singular model matrices) with
 //!   [`Error::InvalidConfig`](swr_error::Error) /
 //!   [`Error::InvalidView`](swr_error::Error) before any thread starts.
-//! * **Worker-panic containment** — each worker runs its compositing and
-//!   warp under `catch_unwind`. A panicking worker marks its rows failed and
-//!   gets out of the way; survivors finish their own partitions (and, with
-//!   stealing enabled, most of the failed worker's queue too). The frame
-//!   then completes by serially re-compositing the lost scanlines and
-//!   re-warping the affected bands — the result is **bit-identical** to an
-//!   undisturbed render, with the degradation recorded in [`RenderStats`]
+//! * **Worker-panic containment** — *work* runs compositing and the warp
+//!   each under one `catch_unwind` (the old renderer likewise). A panicking
+//!   worker records its payload, retires from the compositor count and
+//!   leaves its unfinished rows flagged incomplete; survivors finish their
+//!   own partitions (and, with stealing enabled, most of the failed
+//!   worker's queue too). *resolve* then re-composites the lost scanlines
+//!   serially — slice order within a row is the worker loop's, so the row
+//!   is **bit-identical** — and re-warps the bands whose warp did not
+//!   finish, with the degradation recorded in [`RenderStats`]
 //!   (`worker_panics`, `repaired_rows`, `degraded`). Setting
 //!   [`ParallelConfig::recover_panics`]` = false` turns the repair into a
 //!   typed [`Error::WorkerPanicked`](swr_error::Error) instead.
-//! * **Scheduler watchdog** — the new renderer's barrier-free warp waits on
-//!   per-row completion flags. A waiter that observes every compositor
-//!   retired while its row is still incomplete reports the lost row
-//!   immediately; [`ParallelConfig::watchdog_timeout`] bounds the wait in
-//!   all other cases. Lost work without a panic (e.g. a truncated queue)
-//!   yields [`Error::Stalled`](swr_error::Error) naming the row and the
-//!   worker that last claimed it — never an indefinite spin.
+//! * **Scheduler watchdog** — a waiter that observes every compositor
+//!   retired while its row is still incomplete has proven the row lost and
+//!   reports it at once; [`ParallelConfig::watchdog_timeout`] bounds the
+//!   wait in all other cases, measured from the wait's own start. Work lost
+//!   without a panic (a truncated queue, a fired watchdog — in the old
+//!   renderer, a barrier wait cut short) yields
+//!   [`Error::Stalled`](swr_error::Error) naming the row and the worker
+//!   that last claimed it — never an indefinite spin, never an `Ok` over
+//!   rows or tiles nobody finished.
 //! * **Fault injection** — [`fault::FaultPlan`] deterministically injects
 //!   worker panics at the Nth compositing task or Nth warp band, corrupted
 //!   or zeroed work profiles, and truncated steal queues, so the containment
 //!   paths above are exercised by ordinary tests.
 //!
-//! The multi-frame [`AnimationPipeline`] keeps **two frames in flight** on a
-//! persistent worker pool; the same failure model holds per frame. Panics in
-//! either phase of either in-flight frame are contained and repaired when
-//! that frame is resolved (the other frame is unaffected), stalls surface as
-//! the same typed [`Error::Stalled`](swr_error::Error), and the watchdog
-//! measures each wait from its own start so a frame simply queued behind its
-//! predecessor is never misreported as stalled.
+//! Because both callers run the same *work* and *resolve*, all of this holds
+//! per frame in the pipeline too: a panic in either phase of either
+//! in-flight frame is repaired when that frame is resolved and the other
+//! frame is unaffected, and a frame simply queued behind its predecessor is
+//! never misreported as stalled.
+//!
+//! # Modules
+//!
+//! * `frame` (private) — the new algorithm's plan / arm / work / resolve,
+//!   the steal queues and `pop_or_steal`, the row-flag wait.
+//! * [`new_renderer`], [`pipeline`] — its two callers (above).
+//! * [`old_renderer`] — the §3.1 baseline: interleaved chunks, a barrier,
+//!   warp tiles.
+//! * [`partition`], [`prefix`] — interleaved / equal / profile-balanced
+//!   partitions and the (parallel) prefix sum behind the last.
+//! * [`capture`] — one frame as a `swr-memsim` workload.
+//! * [`fault`] — deterministic fault injection.
+//! * [`placement`], [`pad`] — worker pinning and cache-line padding.
 //!
 //! # Example
 //!
@@ -96,6 +148,7 @@
 
 pub mod capture;
 pub mod fault;
+pub(crate) mod frame;
 pub mod new_renderer;
 pub mod old_renderer;
 pub mod pad;

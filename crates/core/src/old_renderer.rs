@@ -18,92 +18,24 @@
 //! typed [`enum@Error`] is returned. See the crate docs' *Failure model*.
 
 use crate::fault::FaultPlan;
+use crate::frame::{pop_or_steal, stalled_error, StealQueue, UNCLAIMED};
 use crate::pad::CachePadded;
 use crate::partition::{interleaved_chunks, make_tiles};
 use crate::placement::{pin_current_thread, PinLedger};
 use crate::telem;
 use crate::{Error, ParallelConfig, RenderStats};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use swr_error::panic_message;
 use swr_geom::{Factorization, ViewSpec};
 use swr_render::{
-    composite_scanline_slice_src, composite_scanline_slice_untraced_src, warp_full, warp_tile,
-    BrickRowPin, CompositeOpts, FinalImage, IntermediateImage, NullTracer, SharedFinal,
-    SharedIntermediate, VolumeSrc,
+    composite_row, composite_scanline_slice_untraced_src, warp_full, warp_tile, BrickRowPin,
+    CompositeOpts, FinalImage, IntermediateImage, NullTracer, SharedFinal, SharedIntermediate,
+    VolumeSrc,
 };
 use swr_telemetry::{us_to_secs, FrameClock, FrameTelemetry, SpanKind};
 use swr_volume::EncodedVolume;
-
-/// Row-claim sentinel: no worker ever claimed the row.
-const UNCLAIMED: usize = usize::MAX;
-
-/// Per-worker steal queue, padded so neighbouring workers' queue locks never
-/// share a cache line (§5's false-sharing remedy).
-pub(crate) type StealQueue = CachePadded<Mutex<VecDeque<Range<usize>>>>;
-
-/// Pops the caller's queue, or steals from the back of the fullest victim.
-/// Returns the chunk plus the victim it was stolen from (`None` for the
-/// caller's own work), so callers can emit steal telemetry.
-///
-/// Steals are *adaptive*: once the victim's queue has dropped below one
-/// chunk per processor (`queues.len()`), a stolen chunk is halved — the
-/// thief takes the back half (floor one row) and the front half goes back
-/// to the victim. Late-frame steals therefore move ever smaller row counts,
-/// shrinking the end-of-frame straggler window where one worker churns
-/// through a large stolen chunk while the rest idle at the barrier. When
-/// `adapt` is given, the smallest chunk handed out is recorded into it
-/// (`fetch_min`), so telemetry can report the final granularity.
-pub(crate) fn pop_or_steal(
-    me: usize,
-    queues: &[StealQueue],
-    steal: bool,
-    steals: &AtomicU64,
-    adapt: Option<&AtomicU64>,
-) -> Option<(Range<usize>, Option<usize>)> {
-    if let Some(r) = queues[me].lock().pop_front() {
-        return Some((r, None));
-    }
-    if !steal {
-        return None;
-    }
-    loop {
-        // Victim selection: the queue with the most remaining chunks.
-        let mut best: Option<(usize, usize)> = None;
-        for (v, q) in queues.iter().enumerate() {
-            if v == me {
-                continue;
-            }
-            let len = q.lock().len();
-            if len > 0 && best.is_none_or(|(_, l)| len > l) {
-                best = Some((v, len));
-            }
-        }
-        let (v, _) = best?;
-        let stolen = {
-            let mut q = queues[v].lock();
-            match q.pop_back() {
-                Some(r) if q.len() < queues.len() && r.len() > 1 => {
-                    let mid = r.end - r.len() / 2;
-                    q.push_back(r.start..mid);
-                    Some(mid..r.end)
-                }
-                other => other,
-            }
-        };
-        if let Some(r) = stolen {
-            steals.fetch_add(1, Ordering::Relaxed);
-            if let Some(a) = adapt {
-                a.fetch_min(r.len() as u64, Ordering::Relaxed);
-            }
-            return Some((r, Some(v)));
-        }
-        // Raced with the victim finishing its queue; rescan.
-    }
-}
 
 /// The old parallel renderer.
 #[derive(Debug, Default)]
@@ -247,6 +179,8 @@ impl OldParallelRenderer {
         let arrived = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+        // The first barrier wait the watchdog cut short, as (row, waited ms).
+        let stalled: Mutex<Option<(usize, u64)>> = Mutex::new(None);
         let composite_end_us = AtomicU64::new(0);
         let opts = self.composite_opts;
         let watchdog = self.cfg.watchdog_timeout;
@@ -269,6 +203,7 @@ impl OldParallelRenderer {
                     let arrived = &arrived;
                     let abort = &abort;
                     let panics = &panics;
+                    let stalled = &stalled;
                     let shared = &shared;
                     let shared_out = &shared_out;
                     let tiles = &tile_lists[p];
@@ -352,16 +287,26 @@ impl OldParallelRenderer {
                             return;
                         }
                         // Barrier wait. Terminates by construction (every
-                        // worker arrives); the watchdog is a pure backstop.
+                        // worker arrives); the watchdog is a pure backstop,
+                        // measured from this wait's own start. A waiter it
+                        // cuts short leaves its tiles un-warped, so it must
+                        // say so: the frame resolves to `Error::Stalled`
+                        // naming the first row a straggler still holds.
                         let barrier_start = if collect { clock.now_us() } else { 0 };
+                        let wait_from = clock.elapsed();
                         let mut spins = 0u32;
                         while arrived.load(Ordering::Acquire) < nprocs {
                             spins = spins.wrapping_add(1);
                             if spins.is_multiple_of(1024) {
-                                if let Some(limit) = watchdog {
-                                    if clock.elapsed() >= limit {
-                                        return;
-                                    }
+                                let waited = clock.elapsed().saturating_sub(wait_from);
+                                if watchdog.is_some_and(|limit| waited >= limit) {
+                                    let row = rows_done
+                                        .iter()
+                                        .position(|done| !done.load(Ordering::Acquire))
+                                        .unwrap_or(0);
+                                    let waited_ms = waited.as_millis() as u64;
+                                    stalled.lock().get_or_insert((row, waited_ms));
+                                    return;
                                 }
                             }
                             std::hint::spin_loop();
@@ -435,21 +380,14 @@ impl OldParallelRenderer {
             stats.degraded = true;
             stats.repaired_rows = lost.len() as u64;
             let repair_start = clock.now_us();
-            let mut tracer = NullTracer;
             // Re-composite each lost row; per row the slice order matches
             // the worker loop, so the repair is bit-identical.
             for &y in &lost {
-                inter.clear_row(y);
-                let mut row = inter.row_view(y);
-                let mut pin = BrickRowPin::new(rle);
-                for m in 0..fact.slice_count() {
-                    let k = fact.slice_for_step(m);
-                    composite_scanline_slice_src(&mut pin, &fact, &mut row, k, &opts, &mut tracer);
-                }
+                composite_row(rle, &fact, &mut inter.row_view(y), &opts);
             }
             // The tile warp was skipped on abort; redo it serially over the
             // now-complete intermediate image.
-            warp_full(&*inter, &fact, &mut out, &mut tracer);
+            warp_full(&*inter, &fact, &mut out, &mut NullTracer);
             if collect {
                 driver.record(
                     SpanKind::Repair,
@@ -459,20 +397,13 @@ impl OldParallelRenderer {
                     stats.worker_panics as u32,
                 );
             }
-        } else if !lost.is_empty() {
-            // Lost work without a panic (e.g. a truncated queue): the warp
-            // already ran over incomplete rows, so the image cannot be
-            // trusted — surface the first missing row.
-            let row = lost[0];
-            let holder = match row_claim[row].load(Ordering::Relaxed) {
-                UNCLAIMED => None,
-                w => Some(w),
-            };
-            return Err(Error::Stalled {
-                row,
-                holder,
-                waited_ms: clock.elapsed().as_millis() as u64,
-            });
+        } else if let Some(e) = stalled_error(stalled.lock().take(), &lost, &clock, |y| {
+            row_claim[y].load(Ordering::Relaxed)
+        }) {
+            // Lost work without a panic (a truncated queue, or a barrier
+            // wait the watchdog cut short): the warp ran over incomplete
+            // rows or skipped tiles, so the image cannot be trusted.
+            return Err(e);
         }
         let final_chunk_rows = min_chunk.load(Ordering::Relaxed);
         self.last_telemetry = Some(telem::finish_frame(
@@ -494,6 +425,7 @@ impl OldParallelRenderer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
     use swr_render::SerialRenderer;
     use swr_volume::{classify, Phantom};
 

@@ -16,7 +16,7 @@
 //!   (bus, centralized memory), Stanford DASH (16-byte lines, 4-processor
 //!   nodes, remote misses), the "ideal" next-generation DSM simulator
 //!   (70/210/280-cycle misses), and SGI Origin2000.
-//! * [`workload`] + [`replay`] — a discrete-event scheduler that *replays*
+//! * [`workload`] + [`mod@replay`] — a discrete-event scheduler that *replays*
 //!   task traces onto P logical processors, performing the algorithms' own
 //!   scheduling (per-processor queues, dynamic task stealing with lock
 //!   costs, phase barriers, task dependencies) in virtual time, and accounts

@@ -1,6 +1,6 @@
 //! Working-set replay for the bricked streaming store.
 //!
-//! `swr-volume`'s streamed [`BrickedVolume`] bounds its resident set with a
+//! `swr-volume`'s streamed `BrickedVolume` bounds its resident set with a
 //! sharded second-chance clock cache (`BrickCache`). Choosing the brick
 //! extent and the byte budget is a classic working-set problem: too-small
 //! budgets thrash (every scanline pass re-decodes the slab of bricks it

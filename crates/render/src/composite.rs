@@ -808,6 +808,28 @@ fn composite_scaled<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>
     stats
 }
 
+/// Composites intermediate scanline `row` whole and from scratch: cleared,
+/// then every slice in ascending front-to-back order. Rows are mutually
+/// independent and this is the serial order within one, so the result is
+/// bit-identical to the same row out of any renderer's chunk loop — which
+/// is what lets a repair path, or a process that owns a band of rows, stand
+/// in for one. Returns the number of pixels composited.
+pub fn composite_row(
+    src: AxisSrc<'_>,
+    fact: &Factorization,
+    row: &mut RowView<'_>,
+    opts: &CompositeOpts,
+) -> u64 {
+    row.clear();
+    let mut pin = BrickRowPin::new(src);
+    let mut pixels = 0;
+    for m in 0..fact.slice_count() {
+        let k = fact.slice_for_step(m);
+        pixels += composite_scanline_slice_untraced_src(&mut pin, fact, row, k, opts);
+    }
+    pixels
+}
+
 /// Occupied scanline band of the intermediate image for a whole frame: the
 /// smallest `y` range outside which no slice deposits any voxel. The new
 /// parallel algorithm composites (and profiles) only this band.

@@ -84,12 +84,7 @@ impl IntermediateImage {
     /// image untouched. The fault-recovery path uses this to recomposite a
     /// scanline a panicked worker left in a partial state.
     pub fn clear_row(&mut self, y: usize) {
-        assert!(y < self.h);
-        let w = self.w;
-        self.pix[y * w..(y + 1) * w].fill(IPixel::CLEAR);
-        for (x, s) in self.skip[y * w..(y + 1) * w].iter_mut().enumerate() {
-            *s = x as u32;
-        }
+        self.row_view(y).clear();
     }
 
     /// Read-only pixel access; out-of-bounds coordinates return a cleared
@@ -141,6 +136,14 @@ impl RowView<'_> {
     #[inline]
     pub fn width(&self) -> usize {
         self.pix.len()
+    }
+
+    /// Resets the scanline's pixels and skip links.
+    pub(crate) fn clear(&mut self) {
+        self.pix.fill(IPixel::CLEAR);
+        for (x, s) in self.skip.iter_mut().enumerate() {
+            *s = x as u32;
+        }
     }
 
     /// Follows skip links from `x` to the first non-opaque pixel at or after
@@ -304,11 +307,8 @@ impl<'a> SharedIntermediate<'a> {
     /// # Safety
     /// No other thread may access scanline `y` concurrently.
     pub unsafe fn clear_row(&self, y: usize) {
-        let row = unsafe { self.row_view(y) };
-        row.pix.fill(IPixel::CLEAR);
-        for (x, s) in row.skip.iter_mut().enumerate() {
-            *s = x as u32;
-        }
+        // SAFETY: the caller's contract is `row_view`'s.
+        unsafe { self.row_view(y) }.clear();
     }
 
     /// Read-only access to the whole *backing* image (a window's logical

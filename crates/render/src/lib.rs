@@ -34,9 +34,10 @@ pub mod tracer;
 pub mod warp;
 
 pub use composite::{
-    composite_scanline_slice, composite_scanline_slice_src, composite_scanline_slice_untraced,
-    composite_scanline_slice_untraced_src, composite_scanline_slice_untraced_with,
-    composite_scanline_slice_untraced_with_src, CompositeOpts, DepthCue, ScanlineSliceStats,
+    composite_row, composite_scanline_slice, composite_scanline_slice_src,
+    composite_scanline_slice_untraced, composite_scanline_slice_untraced_src,
+    composite_scanline_slice_untraced_with, composite_scanline_slice_untraced_with_src,
+    CompositeOpts, DepthCue, ScanlineSliceStats,
 };
 pub use image::{
     FinalImage, IPixel, IntermediateImage, Rgba8, RowView, SharedFinal, SharedIntermediate,
@@ -45,4 +46,4 @@ pub use serial::{SerialRenderer, SerialStats};
 pub use simd::{dispatched_kernel, set_force_scalar, simd_compiled, SimdKernel};
 pub use source::{AxisSrc, BrickRowPin, StepSrc, VolumeSrc};
 pub use tracer::{CountingTracer, NullTracer, Tracer, WorkKind};
-pub use warp::{warp_full, warp_row_band, warp_tile, InterSource, Tile};
+pub use warp::{extend_band, warp_full, warp_row_band, warp_tile, InterSource, Tile};

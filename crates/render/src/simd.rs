@@ -7,7 +7,7 @@
 //! early-termination hops, cursor queries) stays scalar and identical to the
 //! reference kernel, but instead of blending each pixel immediately, the
 //! composited pixels of a scanline are gathered into a small batch
-//! ([`BatchSink`]) of per-lane taps and weights, and the batch is flushed
+//! (`BatchSink`) of per-lane taps and weights, and the batch is flushed
 //! through an SSE2/AVX2 (`std::arch::x86_64`) or NEON
 //! (`std::arch::aarch64`) kernel that resamples and blends one *pixel per
 //! lane*.

@@ -495,6 +495,20 @@ pub fn warp_tile<S: InterSource, T: Tracer>(
     written
 }
 
+/// The band-extension rule of the partition-preserving warp: the band that
+/// starts at the composited region's first row also owns the final pixels
+/// just under it, which bilinearly read row `region_start - 1` (a clear
+/// guard row), so it is extended one row down. Every other band, and an
+/// empty one, is returned as it came — as the `(lo, hi)` pair
+/// [`warp_row_band`] takes.
+pub fn extend_band(band: Range<usize>, region_start: usize) -> (usize, usize) {
+    if !band.is_empty() && band.start == region_start {
+        (band.start.saturating_sub(1), band.end)
+    } else {
+        (band.start, band.end)
+    }
+}
+
 /// Warp of the final pixels owned by the intermediate row band
 /// `[band.0, band.1)` (the new algorithm's warp task).
 ///

@@ -21,7 +21,7 @@
 //!   stepping back up as health returns.
 //!
 //! Fault isolation is the point: a panic injected into one session's
-//! render (see [`FaultSpec`](protocol::FaultSpec)) is contained by that
+//! render (see [`protocol::FaultSpec`]) is contained by that
 //! session's supervisor — the pipeline restarts, the request gets a typed
 //! error or a degraded frame, and every other session keeps producing
 //! frames bit-identical to the serial renderer.

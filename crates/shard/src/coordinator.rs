@@ -46,7 +46,7 @@ use swr_error::Error;
 use swr_geom::{Factorization, ViewSpec};
 use swr_render::composite::occupied_y_bounds_src;
 use swr_render::{
-    composite_scanline_slice_untraced_src, warp_row_band, AxisSrc, CompositeOpts, FinalImage,
+    composite_row, extend_band, warp_row_band, AxisSrc, CompositeOpts, FinalImage,
     IntermediateImage, NullTracer, SerialRenderer, SharedFinal, VolumeSrc,
 };
 use swr_volume::EncodedVolume;
@@ -209,22 +209,6 @@ fn watcher_thread(child: Arc<Mutex<Child>>, map: Arc<ShmMap>, stop: Arc<AtomicBo
             return;
         }
         std::thread::sleep(Duration::from_millis(15));
-    }
-}
-
-/// Composites intermediate scanline `y` whole (every slice, ascending
-/// front-to-back order) — the exact per-row computation the workers run.
-fn composite_row(
-    inter: &mut IntermediateImage,
-    fact: &Factorization,
-    src: AxisSrc<'_>,
-    y: usize,
-    opts: &CompositeOpts,
-) {
-    let mut row = inter.row_view(y);
-    for m in 0..fact.slice_count() {
-        let k = fact.slice_for_step(m);
-        composite_scanline_slice_untraced_src(src, fact, &mut row, k, opts);
     }
 }
 
@@ -601,7 +585,7 @@ impl ShardedRenderer {
                 .get_or_insert_with(|| IntermediateImage::new(fact.inter_w, fact.inter_h));
             for y in band.clone() {
                 if local_rows.insert(y) {
-                    composite_row(inter, &fact, axis_src, y, &opts);
+                    composite_row(axis_src, &fact, &mut inter.row_view(y), &opts);
                 }
             }
             if band.end != region.end && !local_rows.contains(&band.end) {
@@ -610,25 +594,13 @@ impl ShardedRenderer {
                     decoded = decode_inter_row(payload, inter.row_view(band.end).pix).is_ok();
                 }
                 if !decoded {
-                    composite_row(inter, &fact, axis_src, band.end, &opts);
+                    composite_row(axis_src, &fact, &mut inter.row_view(band.end), &opts);
                 }
                 local_rows.insert(band.end);
             }
-            let warp_lo = if band.start == region.start {
-                band.start.saturating_sub(1)
-            } else {
-                band.start
-            };
-            {
-                let shared = SharedFinal::new(&mut out);
-                warp_row_band(
-                    &*inter,
-                    &fact,
-                    &shared,
-                    (warp_lo, band.end),
-                    &mut NullTracer,
-                );
-            }
+            let warp_band = extend_band(band.clone(), region.start);
+            let shared = SharedFinal::new(&mut out);
+            warp_row_band(&*inter, &fact, &shared, warp_band, &mut NullTracer);
             stats.repaired_shards.push(s);
         }
 
@@ -721,7 +693,7 @@ fn handle_death(
     let inter =
         repair_inter.get_or_insert_with(|| IntermediateImage::new(fact.inter_w, fact.inter_h));
     if local_rows.insert(band.start) {
-        composite_row(inter, fact, axis_src, band.start, opts);
+        composite_row(axis_src, fact, &mut inter.row_view(band.start), opts);
     }
     let payload = encode_inter_row(inter.row_view(band.start).pix);
     halo_cache.insert(band.start, payload.clone());

@@ -70,7 +70,7 @@ mod sys {
 /// A shared mapping holding the two rings of one coordinator↔worker link.
 ///
 /// Layout: ring 0 (coordinator → worker) at offset 0, ring 1 (worker →
-/// coordinator) at offset `ring_bytes(cap)`; each ring is a [`RING_HDR`]
+/// coordinator) at offset `ring_bytes(cap)`; each ring is a `RING_HDR`-byte
 /// header followed by `cap` data bytes.
 pub struct ShmMap {
     base: *mut u8,

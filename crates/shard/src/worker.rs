@@ -19,8 +19,8 @@ use std::sync::atomic::Ordering;
 use swr_error::Error;
 use swr_geom::Factorization;
 use swr_render::{
-    composite_scanline_slice_untraced_src, warp_row_band, CompositeOpts, FinalImage,
-    IntermediateImage, NullTracer, SharedFinal, VolumeSrc,
+    composite_row, extend_band, warp_row_band, CompositeOpts, FinalImage, IntermediateImage,
+    NullTracer, SharedFinal, VolumeSrc,
 };
 use swr_volume::EncodedVolume;
 
@@ -137,16 +137,13 @@ fn render_band(
     let mut inter = IntermediateImage::new(fact.inter_w, fact.inter_h);
     let opts = CompositeOpts::default();
 
-    // Composite each owned scanline whole: ascending slice order within the
-    // row reproduces the serial compositing bit-for-bit (rows are mutually
-    // independent). The first row is shipped the moment it completes so the
-    // band below can start its warp while we are still compositing.
+    // Composite each owned scanline whole (rows are mutually independent,
+    // so this reproduces the serial compositing bit-for-bit). The first row
+    // is shipped the moment it completes so the band below can start its
+    // warp while we are still compositing.
     for y in band.clone() {
         let mut row = inter.row_view(y);
-        for m in 0..fact.slice_count() {
-            let k = fact.slice_for_step(m);
-            composite_scanline_slice_untraced_src(src, &fact, &mut row, k, &opts);
-        }
+        composite_row(src, &fact, &mut row, &opts);
         if y == band.start && a.send_first_row {
             let payload = encode_inter_row(row.pix);
             bytes_sent += payload.len() as u64;
@@ -196,16 +193,10 @@ fn render_band(
         }
     }
 
-    // Partition-preserving warp of exactly the final pixels this band owns.
-    // The first band is extended one row downward (`region.start - 1`, a
-    // clear guard row) so pixels mapping just below the region have an
-    // owner — the same `extend_band` rule the in-process renderer applies.
-    let warp_lo = if band.start == region.start && !band.is_empty() {
-        band.start.saturating_sub(1)
-    } else {
-        band.start
-    };
-    let warp_band = (warp_lo, band.end);
+    // Partition-preserving warp of exactly the final pixels this band owns,
+    // under the in-process renderers' own band-extension rule, so pixels
+    // mapping just below the region have an owner here too.
+    let warp_band = extend_band(band.clone(), region.start);
     let mut fin = FinalImage::new(fact.final_w, fact.final_h);
     if warp_band.0 < warp_band.1 {
         let shared = SharedFinal::new(&mut fin);

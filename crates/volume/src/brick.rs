@@ -1,6 +1,6 @@
 //! Bricked run-length storage with bounded-resident streaming.
 //!
-//! The flat [`RleEncoding`](crate::RleEncoding) stores each axis's runs and
+//! The flat [`RleEncoding`] stores each axis's runs and
 //! voxels as three monolithic streams. That is compact but has two costs at
 //! modern scale: a scanline's working set strides the whole volume (poor
 //! L2/TLB locality when many slices interleave), and the *entire* encoding

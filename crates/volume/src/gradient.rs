@@ -14,7 +14,7 @@ use swr_geom::Vec3;
 /// The scale is "sample units per voxel"; border voxels use one-sided
 /// differences implicitly via clamping. This is the per-voxel *definition*;
 /// whole-volume passes take the same differences a row at a time from
-/// [`RowStencil`], which the tests hold equal to this function.
+/// `RowStencil`, which the tests hold equal to this function.
 #[inline]
 pub fn gradient_at(vol: &Volume, x: usize, y: usize, z: usize) -> Vec3 {
     let (xi, yi, zi) = (x as isize, y as isize, z as isize);

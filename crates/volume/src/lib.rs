@@ -5,7 +5,7 @@
 //!
 //! 1. A raw scalar [`Volume`] (8-bit samples, e.g. an MRI or CT scan).
 //! 2. Gradient estimation ([`gradient`]) for surface shading.
-//! 3. Classification ([`classify`]): a [`TransferFunction`] maps each sample
+//! 3. Classification ([`classify()`]): a [`TransferFunction`] maps each sample
 //!    (value, gradient magnitude) to an opacity, and Phong shading assigns a
 //!    color, producing a [`ClassifiedVolume`] of RGBA voxels.
 //! 4. Run-length encoding ([`rle`]): for each of the three principal axes the
@@ -17,7 +17,7 @@
 //! Because the paper's MRI/CT scans are not distributable, [`phantom`]
 //! generates deterministic synthetic volumes with the same *statistical
 //! structure* (a condensed central object, 70–95 % transparent voxels,
-//! strongly non-uniform per-scanline cost), and [`resample`] reproduces the
+//! strongly non-uniform per-scanline cost), and [`resample()`] reproduces the
 //! up-sampling tool the authors used to make the 512³/640³ datasets.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]

@@ -223,6 +223,124 @@ fn truncated_queue_stalls_the_pipeline_with_a_typed_error() {
     assert_eq!(e.exit_code(), 3);
 }
 
+/// One frame through each of the two callers of the shared frame executor,
+/// freshly constructed (so both profile and partition equally) and under
+/// the same fault plan.
+fn one_frame_each(
+    enc: &EncodedVolume,
+    view: &ViewSpec,
+    cfg: ParallelConfig,
+    fault: &dyn Fn() -> FaultPlan,
+) -> [Result<(FinalImage, RenderStats)>; 2] {
+    let mut single = NewParallelRenderer::new(cfg);
+    single.fault = Some(fault());
+    let mut pipe = AnimationPipeline::new(cfg);
+    pipe.fault = Some(fault());
+    let mut delivered = None;
+    let piped = pipe.try_render_animation(enc, std::slice::from_ref(view), |_, img, stats| {
+        delivered = Some((img, stats.clone()));
+    });
+    [
+        single.try_render_with_stats(enc, view),
+        piped.map(|()| delivered.expect("one frame delivered")),
+    ]
+}
+
+/// The single-frame renderer and a 1-view pipeline run the same `work` and
+/// `resolve`: a panic at any task or warp band a frame offers is repaired
+/// to the same pixels and booked the same way by both, and a dropped chunk
+/// is the same typed stall. Fails if the two are ever given different
+/// bodies again.
+#[test]
+fn single_frame_and_pipeline_agree_under_every_fault() {
+    quiet_panics();
+    let enc = dataset();
+    let view = rotation_views(2, false).remove(1);
+    let serial = SerialRenderer::new().render(&enc, &view);
+    // No stealing and no clip: which rows each worker composites, and so
+    // the task count and the dropped chunk, are fixed by the geometry.
+    let cfg = ParallelConfig {
+        steal: false,
+        chunk_rows: 3,
+        empty_region_clip: false,
+        ..ParallelConfig::with_procs(3)
+    };
+    let (tasks, bands) = count_animation_work(&enc, std::slice::from_ref(&view), cfg);
+    assert!(tasks > 3 && bands == 3, "{tasks} tasks, {bands} bands");
+    let check = |what: String, fault: &dyn Fn() -> FaultPlan| {
+        let [single, piped] = one_frame_each(&enc, &view, cfg, fault);
+        let (img_s, stats_s) = single.unwrap_or_else(|e| panic!("{what}, single: {e}"));
+        let (img_p, stats_p) = piped.unwrap_or_else(|e| panic!("{what}, pipeline: {e}"));
+        assert_eq!(img_s, serial, "{what}, single");
+        assert_eq!(img_p, serial, "{what}, pipeline");
+        assert_eq!(stats_s.worker_panics, 1, "{what}");
+        assert_eq!(stats_p.worker_panics, stats_s.worker_panics, "{what}");
+        assert!(stats_s.degraded, "{what}");
+        assert_eq!(stats_p.degraded, stats_s.degraded, "{what}");
+    };
+    for n in 0..tasks {
+        check(format!("task {n}"), &|| FaultPlan::new(n).panic_at(n));
+    }
+    for b in 0..bands {
+        check(format!("warp band {b}"), &|| {
+            FaultPlan::new(b).panic_in_warp_at(b)
+        });
+    }
+
+    // Worker 0 loses the last chunk of its band: it finishes the rest,
+    // waits on its band bottom-up and proves the chunk's first row lost.
+    let h = Factorization::from_view(&view).inter_h;
+    let band0 = shearwarp::core::equal_contiguous(0..h, cfg.nprocs)[0].clone();
+    let dropped = band0.end - ((band0.len() - 1) % cfg.chunk_rows + 1)..band0.end;
+    let stalls = one_frame_each(&enc, &view, cfg, &|| FaultPlan::new(0).truncating_queue(1));
+    for (who, result) in ["single", "pipeline"].into_iter().zip(stalls) {
+        match result {
+            Err(Error::Stalled { row, holder, .. }) => {
+                assert_eq!(row, dropped.start, "{who}: dropped chunk {dropped:?}");
+                assert_eq!(holder, None, "{who}: the chunk was never claimed");
+            }
+            other => panic!("{who}: expected a stall, got {:?}", other.map(|(_, s)| s)),
+        }
+    }
+}
+
+/// One clean frame records the same spans, lane by lane, whichever caller
+/// ran it: one `Partition` on the driver lane; on each worker its chunks
+/// (a first frame profiles), then one `Wait` and one `Warp`.
+#[cfg(feature = "telemetry")]
+#[test]
+fn single_frame_and_pipeline_record_the_same_spans() {
+    let enc = dataset();
+    let view = rotation_views(2, false).remove(1);
+    let cfg = ParallelConfig {
+        steal: false,
+        ..ParallelConfig::with_procs(3)
+    };
+    let lanes = |t: &FrameTelemetry| -> Vec<Vec<SpanKind>> {
+        let kinds =
+            |w: &shearwarp::telemetry::WorkerLog| w.spans().iter().map(|s| s.kind).collect();
+        t.workers.iter().map(kinds).collect()
+    };
+    let mut single = NewParallelRenderer::new(cfg);
+    single.try_render(&enc, &view).expect("single frame");
+    let single = lanes(single.last_telemetry.as_ref().expect("telemetry"));
+    let mut pipe = AnimationPipeline::new(cfg);
+    pipe.try_render_all(&enc, std::slice::from_ref(&view))
+        .expect("one-view animation");
+    assert_eq!(lanes(&pipe.telemetry[0]), single);
+
+    assert_eq!(single[0], [SpanKind::Partition], "driver lane");
+    for (p, lane) in single[1..].iter().enumerate() {
+        let (chunks, tail) = lane.split_at(lane.len() - 2);
+        assert!(!chunks.is_empty(), "worker {p}");
+        assert!(
+            chunks.iter().all(|&k| k == SpanKind::Profile),
+            "worker {p}: {lane:?}"
+        );
+        assert_eq!(tail, [SpanKind::Wait, SpanKind::Warp], "worker {p}");
+    }
+}
+
 #[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_shows_cross_frame_overlap() {

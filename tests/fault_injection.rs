@@ -291,3 +291,42 @@ fn clean_frames_report_no_degradation() {
     assert_eq!(stats.worker_panics, 0);
     assert!(!stats.degraded);
 }
+
+/// The old renderer's barrier watchdog used to `return` a waiter out of the
+/// frame — its warp tiles skipped — with nothing recorded, so the frame
+/// resolved to `Ok` over a partly black image. One worker composites the
+/// whole image as a single chunk while the other idles at the barrier —
+/// each pinned to its own CPU where the host has two, so the waiter spins
+/// fast enough to reach its watchdog check inside the frame. For any
+/// timeout the frame is the serial image or a typed stall, never a wrong
+/// `Ok`.
+#[test]
+fn old_renderer_fired_barrier_watchdog_is_a_typed_stall_never_a_wrong_image() {
+    let dims = [64, 64, 48];
+    let vol = Phantom::MriBrain.generate(dims, 11);
+    let enc = EncodedVolume::encode(&classify(&vol, &TransferFunction::mri_default()));
+    let view = ViewSpec::new(dims).rotate_y(0.5).rotate_x(0.2);
+    let serial = SerialRenderer::new().render(&enc, &view);
+    for micros in [1, 20, 200, 2_000] {
+        let cfg = ParallelConfig {
+            steal: false,
+            chunk_rows: 100_000,
+            watchdog_timeout: Some(Duration::from_micros(micros)),
+            placement: Placement::Compact,
+            ..ParallelConfig::with_procs(2)
+        };
+        let mut r = OldParallelRenderer::new(cfg);
+        for frame in 0..5 {
+            match r.try_render(&enc, &view) {
+                Ok(img) => assert!(
+                    img == serial,
+                    "watchdog {micros} µs, frame {frame}: Ok with a wrong image"
+                ),
+                Err(e) => assert!(
+                    matches!(e, Error::Stalled { .. }),
+                    "watchdog {micros} µs, frame {frame}: {e}"
+                ),
+            }
+        }
+    }
+}

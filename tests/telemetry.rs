@@ -154,3 +154,33 @@ fn native_and_replay_traces_share_one_span_vocabulary() {
     assert_eq!(unit(&native_doc).as_deref(), Some("us"));
     assert_eq!(unit(&replay_doc).as_deref(), Some("cycles"));
 }
+
+/// An all-transparent volume is a frame like any other: the renderer must
+/// not hand back the previous frame's spans and metrics as its telemetry.
+#[test]
+fn an_empty_frame_does_not_leave_the_previous_frames_telemetry_behind() {
+    let (enc, view) = scene();
+    let mut r = NewParallelRenderer::new(ParallelConfig::with_procs(2));
+    let (_, stats) = r.try_render_with_stats(&enc, &view).expect("populated");
+    assert!(stats.composited_pixels > 0);
+    let t = r.last_telemetry.as_ref().expect("populated telemetry");
+    assert_eq!(
+        t.metrics.counter("stats.composited_pixels"),
+        stats.composited_pixels
+    );
+
+    let empty = classify(
+        &Volume::zeros([24, 24, 16]),
+        &TransferFunction::mri_default(),
+    );
+    let empty = EncodedVolume::encode(&empty);
+    let (img, stats) = r.try_render_with_stats(&empty, &view).expect("empty");
+    assert_eq!(img.mean_luma(), 0.0);
+    assert_eq!(stats.composited_pixels, 0);
+    let t = r.last_telemetry.as_ref().expect("empty-frame telemetry");
+    assert_eq!(
+        t.metrics.counter("stats.composited_pixels"),
+        0,
+        "telemetry still reports the populated frame"
+    );
+}
