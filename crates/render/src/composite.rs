@@ -15,9 +15,23 @@
 //! scanlines *read-share* volume scanlines, one of the sharing sources the
 //! paper discusses). Transparent voxel runs are skipped via the RLE;
 //! opacity-saturated pixels are skipped via the image skip links.
+//!
+//! There is one traversal of those two structures per projection, and two
+//! things it can do at a pixel it must composite. The scalar reference
+//! (`blend_footprint`) resamples and blends that pixel, one cursor query per
+//! tap; real tracers, `SWR_FORCE_SCALAR=1` and perspective steps take it.
+//! Every other rung of a parallel projection — where the four bilinear
+//! weights are constant along the scanline — composites the whole *span*
+//! the pixel starts (`composite_span`): the run of following pixels that are
+//! non-opaque and have a stored voxel of either scanline under their
+//! footprint. The two scanlines' runs under the span are expanded into a
+//! small dense tap window on the stack and [`crate::simd`] blends the span
+//! in one loop over contiguous pixels. Pixels, skip links and the per-step
+//! books come out bit-identical either way.
 
 use crate::costs;
 use crate::image::{IPixel, RowView};
+use crate::simd::{blend_span, SimdKernel};
 use crate::source::{AxisSrc, BrickRowPin, Pinned, PinnedRows, StepSrc};
 use crate::tracer::{NullTracer, Tracer, WorkKind};
 use swr_geom::Factorization;
@@ -185,6 +199,88 @@ impl<'a> RunCursor<'a> {
                 return self.n_i;
             }
             self.advance(tracer);
+        }
+    }
+
+    /// Expands voxels `[i, i + out.len())` dense into `out` — a zero voxel
+    /// where nothing is stored (transparent run, outside the scanline) —
+    /// and returns which entries the traversal treats as stored. Reads
+    /// ahead on a copy of the cursor: `self` does not move. Every stored
+    /// voxel at or after `i` must lie in the current segment or a later
+    /// one, as it does after `next_opaque_at_or_after(i.max(0))`.
+    #[inline]
+    fn expand(&self, i: i64, out: &mut [RgbaVoxel]) -> Taps {
+        debug_assert!(out.len() < 64);
+        let end = i + out.len() as i64;
+        let (mut lo, mut hi, mut opaque) = (self.seg_lo, self.seg_hi, self.opaque);
+        let (mut run_pos, mut vox_pos) = (self.run_pos, self.vox_pos);
+        let mut taps = Taps::default();
+        let mut pos = i;
+        loop {
+            if hi > pos {
+                let from = lo.max(pos);
+                if from >= end {
+                    break;
+                }
+                let to = hi.min(end);
+                out[(pos - i) as usize..(from - i) as usize].fill(RgbaVoxel::TRANSPARENT);
+                let dst = &mut out[(from - i) as usize..(to - i) as usize];
+                if !opaque {
+                    dst.fill(RgbaVoxel::TRANSPARENT);
+                } else if dst.is_empty() {
+                    taps.split |= 1 << (from - i);
+                } else {
+                    let src = vox_pos + (from - lo) as usize;
+                    dst.copy_from_slice(&self.voxels[src..src + dst.len()]);
+                    taps.stored |= ((1u64 << dst.len()) - 1) << (from - i);
+                }
+                pos = to;
+                if pos == end {
+                    return taps;
+                }
+            }
+            if run_pos >= self.runs.len() {
+                break;
+            }
+            if opaque {
+                vox_pos += (hi - lo) as usize;
+            }
+            lo = hi;
+            hi = lo + self.runs[run_pos] as i64;
+            run_pos += 1;
+            opaque = !opaque;
+        }
+        out[(pos - i) as usize..].fill(RgbaVoxel::TRANSPARENT);
+        taps
+    }
+}
+
+/// Which entries of an expanded tap row the traversal treats as stored, one
+/// bit per entry.
+#[derive(Clone, Copy, Default)]
+struct Taps {
+    /// Entries that lie in a stored run: a tap there fetches a voxel.
+    stored: u64,
+    /// Entries where a transparent run longer than a run byte is split by
+    /// the encoder's zero-length stored run. It holds no voxel, but
+    /// [`RunCursor::next_opaque_at_or_after`] reports it to every query
+    /// before it, so the reference composites the one pixel whose `i0 + 1`
+    /// tap lands on it (and fetches nothing there). Spans must too: the
+    /// books count that pixel.
+    split: u64,
+}
+
+impl Taps {
+    /// The pixels, by bit, whose footprint the traversal finds covered:
+    /// entry `p` stored, or with a positive fractional weight (`wide`) entry
+    /// `p + 1` stored or a split.
+    #[inline(always)]
+    fn covered(a: Taps, b: Taps, wide: bool) -> u64 {
+        let stored = a.stored | b.stored;
+        if wide {
+            stored | (stored | a.split | b.split) >> 1
+        } else {
+            stored
         }
     }
 }
@@ -387,93 +483,128 @@ fn blend_footprint<T: Tracer, const STATS: bool>(
     if STATS && opts.profile {
         tracer.work(WorkKind::Other, costs::PROFILE_PER_PIXEL);
     }
-    charge_pixel::<STATS>(stats, fetched, opts);
+    charge_pixels::<STATS>(stats, 1, fetched, opts);
 
     if opts.early_termination && pa >= opts.opaque_threshold {
         row.mark_opaque(x, tracer);
     }
 }
 
-/// Books one composited pixel whose footprint fetched `fetched` voxels.
-/// Every sink charges through this one expression, so the scalar and the
-/// batched kernels cannot drift in what a pixel costs: the §4.2 profile is
-/// the same whichever kernel collected it.
+/// Books `n` composited pixels whose footprints fetched `fetched` voxels
+/// between them. The scalar reference and the spans charge through this one
+/// expression, so they cannot drift in what a pixel costs: the §4.2 profile
+/// is the same whichever kernel collected it.
 #[inline(always)]
-pub(crate) fn charge_pixel<const STATS: bool>(
+fn charge_pixels<const STATS: bool>(
     stats: &mut ScanlineSliceStats,
+    n: u64,
     fetched: u64,
     opts: &CompositeOpts,
 ) {
-    stats.composited += 1;
+    stats.composited += n;
     if STATS {
-        stats.work += costs::COMPOSITE_PIXEL as u64 + fetched * costs::VOXEL_FETCH as u64;
+        stats.work += n * costs::COMPOSITE_PIXEL as u64 + fetched * costs::VOXEL_FETCH as u64;
         stats.voxels_fetched += fetched;
         if opts.profile {
-            stats.work += costs::PROFILE_PER_PIXEL as u64;
+            stats.work += n * costs::PROFILE_PER_PIXEL as u64;
         }
     }
 }
 
-/// Where the compositing traversal delivers each composited pixel's 2×2
-/// footprint. There is exactly one traversal implementation
-/// ([`composite_kernel`] / [`composite_scaled`]); sinks only vary the blend
-/// *epilogue*, so the scalar and vector paths cannot drift in which pixels
-/// they composite or how they walk the RLE.
-///
-/// [`BlendNow`] resamples and blends immediately with the reference
-/// [`blend_footprint`]; [`crate::simd::BatchSink`] gathers lanes and flushes
-/// them through a vector kernel with bit-identical arithmetic.
-pub(crate) trait FootprintSink {
-    /// Delivers one composited pixel: cursors positioned for `query(i0)` /
-    /// `query(i0 + 1)`, bilinear weights, optional depth-cue factor, and the
-    /// destination pixel `x` in `row`. Must leave the cursors exactly as
-    /// [`blend_footprint`] would.
-    #[allow(clippy::too_many_arguments)]
-    fn footprint<T: Tracer, const STATS: bool>(
-        &mut self,
-        cur_a: &mut Option<RunCursor<'_>>,
-        cur_b: &mut Option<RunCursor<'_>>,
-        i0: i64,
-        wgts: [f32; 4],
-        cue: Option<f32>,
-        row: &mut RowView<'_>,
-        x: usize,
-        opts: &CompositeOpts,
-        stats: &mut ScanlineSliceStats,
-        tracer: &mut T,
-    );
+/// Most pixels one span composites; a longer run of compositable pixels
+/// continues as further spans.
+const SPAN: usize = 30;
 
-    /// Completes any deferred work; called once when the traversal of a
-    /// `(scanline, slice)` step finishes.
-    fn flush(&mut self, row: &mut RowView<'_>, opts: &CompositeOpts);
+/// The two voxel scanlines' taps under one span, dense: entry `t` of a row
+/// is voxel `i0 + t`, a zero voxel where the scalar kernel's query would
+/// come back empty (transparent run, outside the scanline, absent row). A
+/// span of `len` pixels reads entries `0..=len`. It lives on the step's
+/// stack, plainly zeroed once a step (`MaybeUninit` measured the same): an
+/// absent row is never written, and a present row's entries are rewritten —
+/// stored and zero alike — before each span reads them.
+struct TapWindow {
+    a: [RgbaVoxel; SPAN + 1],
+    b: [RgbaVoxel; SPAN + 1],
 }
 
-/// The immediate (scalar) sink: every footprint blends on the spot via the
-/// reference [`blend_footprint`]. This is the only sink a real tracer may
-/// use — it reports every tap's load and work event as it happens. Modeled
-/// `stats` need no tracer and are collected by either sink.
-pub(crate) struct BlendNow;
+/// Composites the span that starts at pixel `x` of a parallel-projection
+/// step — the traversal has established that `x` is non-opaque and has a
+/// stored voxel under its footprint `{i0, i0 + 1}` — and returns its length:
+/// the maximal run of pixels from `x` that are non-opaque and covered, up to
+/// [`SPAN`]. Pixels, skip links and `stats` come out exactly as if the
+/// traversal had delivered each pixel to [`blend_footprint`].
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn composite_span<const STATS: bool>(
+    kernel: SimdKernel,
+    win: &mut TapWindow,
+    cur_a: &Option<RunCursor<'_>>,
+    cur_b: &Option<RunCursor<'_>>,
+    i0: i64,
+    wgts: [f32; 4],
+    wide: bool,
+    cue: Option<f32>,
+    row: &mut RowView<'_>,
+    x: usize,
+    x_max: usize,
+    opts: &CompositeOpts,
+    stats: &mut ScanlineSliceStats,
+) -> usize {
+    // As far as early termination goes, the span may take the leading
+    // non-opaque pixels (`x` is one), or all of them with it off.
+    let most = SPAN.min(x_max - x + 1);
+    let open = if opts.early_termination {
+        let links = row.skip[x..x + most].iter().zip(x as u32..);
+        links.take_while(|&(&link, x)| link == x).count()
+    } else {
+        most
+    };
+    // The taps those pixels could read, from copies of the cursors that run
+    // ahead of them.
+    let expand = |cur: &Option<RunCursor<'_>>, row: &mut [RgbaVoxel]| {
+        cur.as_ref().map_or(Taps::default(), |c| c.expand(i0, row))
+    };
+    let ta = expand(cur_a, &mut win.a[..=open]);
+    let tb = expand(cur_b, &mut win.b[..=open]);
+    // Coverage is the reference's `footprint_hi` test: tap `i0 + 1` counts
+    // when the fractional weight is positive (`wide`), even where a weight
+    // *product* underflowed to zero and the tap fetches nothing.
+    let len = (Taps::covered(ta, tb, wide).trailing_ones() as usize).min(open);
+    debug_assert!(len > 0, "the traversal found pixel {x} covered");
+    let len = len.max(1); // whatever this found, the step moves on
 
-impl FootprintSink for BlendNow {
-    #[inline(always)]
-    fn footprint<T: Tracer, const STATS: bool>(
-        &mut self,
-        cur_a: &mut Option<RunCursor<'_>>,
-        cur_b: &mut Option<RunCursor<'_>>,
-        i0: i64,
-        wgts: [f32; 4],
-        cue: Option<f32>,
-        row: &mut RowView<'_>,
-        x: usize,
-        opts: &CompositeOpts,
-        stats: &mut ScanlineSliceStats,
-        tracer: &mut T,
-    ) {
-        blend_footprint::<T, STATS>(cur_a, cur_b, i0, wgts, cue, row, x, opts, stats, tracer);
+    let pix = &mut row.pix[x..x + len];
+    let cue = cue.unwrap_or(1.0);
+    blend_span(kernel, pix, &win.a[..=len], &win.b[..=len], wgts, cue);
+
+    let mut fetched = 0;
+    if STATS {
+        // A tap fetches when its weight is positive and it lies in a stored
+        // run — counted from the run walk, not from the voxel's bytes (a
+        // zero-threshold encoding stores all-zero voxels).
+        let first = (1u64 << len) - 1;
+        let (sa, sb) = (ta.stored, tb.stored);
+        let taps = [sa & first, sa >> 1 & first, sb & first, sb >> 1 & first];
+        for (w, t) in wgts.iter().zip(taps) {
+            if *w > 0.0 {
+                fetched += t.count_ones() as u64;
+            }
+        }
     }
-
-    #[inline(always)]
-    fn flush(&mut self, _row: &mut RowView<'_>, _opts: &CompositeOpts) {}
+    charge_pixels::<STATS>(stats, len as u64, fetched, opts);
+    if opts.early_termination {
+        // The reference charges PIXEL_SKIP once per loop iteration: the
+        // traversal has charged the first pixel's, these are the others'.
+        if STATS {
+            stats.work += (len as u64 - 1) * costs::PIXEL_SKIP as u64;
+        }
+        for x in x..x + len {
+            if row.pix[x].a >= opts.opaque_threshold {
+                row.mark_opaque(x, &mut NullTracer);
+            }
+        }
+    }
+    len
 }
 
 /// Composites slice `k` into intermediate scanline `row` (at image row
@@ -491,7 +622,7 @@ pub fn composite_scanline_slice<T: Tracer>(
     tracer: &mut T,
 ) -> ScanlineSliceStats {
     let kernel = crate::simd::dispatched_kernel();
-    kernel_for::<_, T, true>(kernel, enc, fact, row, k, opts, tracer)
+    composite_kernel::<_, T, true>(kernel, enc, fact, row, k, opts, tracer)
 }
 
 /// [`composite_scanline_slice`] over either storage layout, from a band
@@ -545,19 +676,19 @@ pub fn composite_scanline_slice_untraced_src<'a>(
 /// for A/B benchmarking. A kernel the host cannot run falls back to the
 /// scalar reference.
 pub fn composite_scanline_slice_untraced_with(
-    kernel: crate::simd::SimdKernel,
+    kernel: SimdKernel,
     enc: &RleEncoding,
     fact: &Factorization,
     row: &mut RowView<'_>,
     k: usize,
     opts: &CompositeOpts,
 ) -> u64 {
-    kernel_for::<_, _, false>(kernel, enc, fact, row, k, opts, &mut NullTracer).composited
+    composite_kernel::<_, _, false>(kernel, enc, fact, row, k, opts, &mut NullTracer).composited
 }
 
 /// [`composite_scanline_slice_untraced_with`] over either storage layout.
 pub fn composite_scanline_slice_untraced_with_src<'a>(
-    kernel: crate::simd::SimdKernel,
+    kernel: SimdKernel,
     src: impl StepSrc<'a>,
     fact: &Factorization,
     row: &mut RowView<'_>,
@@ -569,9 +700,9 @@ pub fn composite_scanline_slice_untraced_with_src<'a>(
         .composited
 }
 
-/// [`kernel_for`] on whichever layout `pin` is over.
+/// [`composite_kernel`] on whichever layout `pin` is over.
 fn pinned_kernel_for<T: Tracer, const STATS: bool>(
-    kernel: crate::simd::SimdKernel,
+    kernel: SimdKernel,
     pin: &mut BrickRowPin<'_>,
     fact: &Factorization,
     row: &mut RowView<'_>,
@@ -580,62 +711,42 @@ fn pinned_kernel_for<T: Tracer, const STATS: bool>(
     tracer: &mut T,
 ) -> ScanlineSliceStats {
     match &mut pin.0 {
-        Pinned::Flat(enc) => kernel_for::<_, T, STATS>(kernel, *enc, fact, row, k, opts, tracer),
+        Pinned::Flat(enc) => {
+            composite_kernel::<_, T, STATS>(kernel, *enc, fact, row, k, opts, tracer)
+        }
         Pinned::Bricked(rows) => {
-            kernel_for::<_, T, STATS>(kernel, rows, fact, row, k, opts, tracer)
+            composite_kernel::<_, T, STATS>(kernel, rows, fact, row, k, opts, tracer)
         }
     }
 }
 
-/// Picks the footprint sink for one `(scanline, slice)` step, monomorphized
-/// per storage layout: the lane-batching sink of `kernel` when nothing
-/// observes individual taps (`T::TRACING == false`), the scalar reference
-/// otherwise — also for a `kernel` the host cannot run.
-fn kernel_for<E: SliceSrc, T: Tracer, const STATS: bool>(
-    kernel: crate::simd::SimdKernel,
-    enc: E,
-    fact: &Factorization,
-    row: &mut RowView<'_>,
-    k: usize,
-    opts: &CompositeOpts,
-    tracer: &mut T,
-) -> ScanlineSliceStats {
-    // The vector sink lives on the stack, per call. A reused thread-local
-    // sink was tried and measured slower overall: the opaque TLS access
-    // forced this function apart into separately-compiled pieces, and the
-    // resulting code layout more than doubled the *scalar* path's time on
-    // the benchmark host, dwarfing the ~300 B of per-call zero-init the
-    // TLS saved. Keeping both kernels inlined here keeps both fast.
-    #[cfg(feature = "simd")]
-    if !T::TRACING && kernel.lanes() > 1 && kernel.available() {
-        let mut sink = crate::simd::BatchSink::new(kernel);
-        return composite_kernel::<_, T, _, STATS>(enc, fact, row, k, opts, tracer, &mut sink);
-    }
-    let _ = kernel;
-    composite_kernel::<_, T, BlendNow, STATS>(enc, fact, row, k, opts, tracer, &mut BlendNow)
-}
-
-/// The compositing kernel, monomorphized over the tracer, the footprint
-/// sink, and over whether modeled-cost statistics are collected
-/// (`STATS = false` compiles the bookkeeping away; only `composited` is
-/// counted).
-#[allow(clippy::too_many_arguments)]
-fn composite_kernel<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>(
+/// The compositing kernel for one `(scanline, slice)` step, monomorphized
+/// over the storage layout, the tracer and whether modeled-cost statistics
+/// are collected (`STATS = false` compiles the bookkeeping away; only
+/// `composited` is counted). There is exactly one traversal; `kernel` only
+/// varies what happens at a pixel that must be composited — [`composite_span`]
+/// on the span it starts when nothing observes individual taps
+/// (`T::TRACING == false`), the reference [`blend_footprint`] on that pixel
+/// otherwise, and for [`SimdKernel::Scalar`] or a `kernel` the host cannot
+/// run — so the scalar and vector paths cannot drift in how they walk the
+/// RLE or the skip links.
+fn composite_kernel<E: SliceSrc, T: Tracer, const STATS: bool>(
+    kernel: SimdKernel,
     mut enc: E,
     fact: &Factorization,
     row: &mut RowView<'_>,
     k: usize,
     opts: &CompositeOpts,
     tracer: &mut T,
-    sink: &mut S,
 ) -> ScanlineSliceStats {
+    let spans = (!T::TRACING && kernel.lanes() > 1 && kernel.available()).then_some(kernel);
     let mut stats = ScanlineSliceStats::default();
     let [n_i, n_j, _] = enc.src_std_dims();
     let xf = fact.slice_xform(k);
     if (xf.scale - 1.0).abs() > 1e-12 {
         // Perspective slices scale as well as translate; take the
         // general-resampling path.
-        return composite_scaled::<E, T, S, STATS>(enc, fact, row, k, xf, opts, tracer, sink);
+        return composite_scaled::<E, T, STATS>(enc, fact, row, k, xf, opts, tracer);
     }
     let (u_off, v_off) = (xf.off_u, xf.off_v);
     let cue = opts.depth_cue.map(|c| c.factor(fact.depth_of_slice(k)));
@@ -670,6 +781,10 @@ fn composite_kernel<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>
     let wx1 = fx;
     let wgts = [w_a * wx0, w_a * wx1, w_b * wx0, w_b * wx1];
     let n_i = n_i as i64;
+    let mut win = TapWindow {
+        a: [RgbaVoxel::TRANSPARENT; SPAN + 1],
+        b: [RgbaVoxel::TRANSPARENT; SPAN + 1],
+    };
 
     let mut x = x_min;
     loop {
@@ -705,12 +820,31 @@ fn composite_kernel<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>
             continue;
         }
 
-        sink.footprint::<T, STATS>(
-            &mut cur_a, &mut cur_b, i0, wgts, cue, row, x as usize, opts, &mut stats, tracer,
-        );
-        x += 1;
+        let (xu, x_max) = (x as usize, x_max as usize);
+        x += match spans {
+            Some(kernel) => composite_span::<STATS>(
+                kernel,
+                &mut win,
+                &cur_a,
+                &cur_b,
+                i0,
+                wgts,
+                wx1 > 0.0,
+                cue,
+                row,
+                xu,
+                x_max,
+                opts,
+                &mut stats,
+            ) as i64,
+            None => {
+                blend_footprint::<T, STATS>(
+                    &mut cur_a, &mut cur_b, i0, wgts, cue, row, xu, opts, &mut stats, tracer,
+                );
+                1
+            }
+        };
     }
-    sink.flush(row, opts);
     stats
 }
 
@@ -719,9 +853,10 @@ fn composite_kernel<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>
 /// `scale ≤ 1`, so the fractional resampling weight varies per pixel and a
 /// pixel step may advance more than one voxel. Shares the run cursors, the
 /// per-pixel epilogue, and the coherence optimizations with the unit-scale
-/// fast path.
-#[allow(clippy::too_many_arguments)]
-fn composite_scaled<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>(
+/// fast path — on every rung: a pixel step skips voxels here, so runs of
+/// compositable pixels are short (two to five on the phantoms) and a span's
+/// window costs more than it saves (EXPERIMENTS.md, PR 24).
+fn composite_scaled<E: SliceSrc, T: Tracer, const STATS: bool>(
     mut enc: E,
     fact: &Factorization,
     row: &mut RowView<'_>,
@@ -729,7 +864,6 @@ fn composite_scaled<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>
     xf: swr_geom::SliceXform,
     opts: &CompositeOpts,
     tracer: &mut T,
-    sink: &mut S,
 ) -> ScanlineSliceStats {
     let mut stats = ScanlineSliceStats::default();
     let [n_i, n_j, _] = enc.src_std_dims();
@@ -799,12 +933,11 @@ fn composite_scaled<E: SliceSrc, T: Tracer, S: FootprintSink, const STATS: bool>
         let wx0 = 1.0 - fx;
         let wx1 = fx;
         let wgts = [w_a * wx0, w_a * wx1, w_b * wx0, w_b * wx1];
-        sink.footprint::<T, STATS>(
+        blend_footprint::<T, STATS>(
             &mut cur_a, &mut cur_b, i0, wgts, cue, row, x as usize, opts, &mut stats, tracer,
         );
         x += 1;
     }
-    sink.flush(row, opts);
     stats
 }
 
@@ -865,6 +998,7 @@ mod tests {
     use super::*;
     use crate::image::IntermediateImage;
     use crate::tracer::{CountingTracer, NullTracer};
+    use proptest::prelude::*;
     use swr_geom::{Axis, ViewSpec};
     use swr_volume::{ClassifiedVolume, RgbaVoxel};
 
@@ -1209,15 +1343,8 @@ mod tests {
                     &enc, &fact, &mut row, k, &opts, &mut t_u,
                 ));
                 let mut row = img_s.row_view(y);
-                st_s.merge(&composite_scaled::<_, _, _, true>(
-                    &enc,
-                    &fact,
-                    &mut row,
-                    k,
-                    xf,
-                    &opts,
-                    &mut t_s,
-                    &mut BlendNow,
+                st_s.merge(&composite_scaled::<_, _, true>(
+                    &enc, &fact, &mut row, k, xf, &opts, &mut t_s,
                 ));
             }
             assert_eq!(st_u.work, st_s.work, "row {y}: modeled work differs");
@@ -1312,64 +1439,14 @@ mod tests {
         }
     }
 
-    /// The batch sink under `STATS = true` books exactly what the scalar
-    /// reference books, per `(row, slice)` step and on every vector kernel
-    /// the host runs: the §4.2 profile does not depend on which kernel
-    /// collected it. The scene mixes odd widths, 1–2 voxel runs (batches
-    /// shorter than a lane group), a fully opaque row (early termination
-    /// mid-batch) and an all-transparent band; brick extent 7 puts seams
-    /// inside runs.
-    #[cfg(feature = "simd")]
+    /// Spans under `STATS = true` book exactly what the scalar reference
+    /// books, per `(row, slice)` step and on every rung the host runs: the
+    /// §4.2 profile does not depend on which kernel collected it. The scene
+    /// mixes odd widths, 1–2 voxel runs (spans of one and two pixels), a
+    /// fully opaque row (early termination mid-span) and an all-transparent
+    /// band; brick extent 7 puts seams inside runs.
     #[test]
-    fn batch_sink_stats_equal_the_scalar_reference_on_every_kernel() {
-        use crate::simd::{BatchSink, SimdKernel};
-        fn step<S: FootprintSink>(
-            src: AxisSrc<'_>,
-            fact: &Factorization,
-            row: &mut RowView<'_>,
-            k: usize,
-            opts: &CompositeOpts,
-            sink: &mut S,
-        ) -> ScanlineSliceStats {
-            let t = &mut NullTracer;
-            match &mut BrickRowPin::new(src).0 {
-                Pinned::Flat(enc) => {
-                    composite_kernel::<_, _, _, true>(*enc, fact, row, k, opts, t, sink)
-                }
-                Pinned::Bricked(rows) => {
-                    composite_kernel::<_, _, _, true>(rows, fact, row, k, opts, t, sink)
-                }
-            }
-        }
-        fn sweep(kernel: SimdKernel, src: AxisSrc<'_>, fact: &Factorization) {
-            for profile in [false, true] {
-                let opts = CompositeOpts {
-                    profile,
-                    ..Default::default()
-                };
-                let mut img_s = IntermediateImage::new(fact.inter_w, fact.inter_h);
-                let mut img_v = IntermediateImage::new(fact.inter_w, fact.inter_h);
-                let mut total = ScanlineSliceStats::default();
-                for y in 0..fact.inter_h {
-                    for m in 0..fact.slice_count() {
-                        let k = fact.slice_for_step(m);
-                        let scalar =
-                            step(src, fact, &mut img_s.row_view(y), k, &opts, &mut BlendNow);
-                        let batched = step(
-                            src,
-                            fact,
-                            &mut img_v.row_view(y),
-                            k,
-                            &opts,
-                            &mut BatchSink::new(kernel),
-                        );
-                        assert_eq!(batched, scalar, "{}: row {y} slice {k}", kernel.name());
-                        total.merge(&scalar);
-                    }
-                }
-                assert!(total.work > 0 && total.voxels_fetched > 0);
-            }
-        }
+    fn span_stats_equal_the_scalar_reference_on_every_kernel() {
         let dims = [17, 19, 13];
         let c = vol_from(dims, |x, y, _| match (y, x % 7) {
             (5, _) => 255,
@@ -1388,16 +1465,240 @@ mod tests {
                 ViewSpec::new(dims).rotate_y(0.29).with_perspective(51.0),
             ] {
                 let fact = swr_geom::Factorization::from_view(&view);
-                sweep(
-                    kernel,
+                let start = IntermediateImage::new(fact.inter_w, fact.inter_h);
+                for src in [
                     AxisSrc::Flat(enc_all.for_axis(fact.principal)),
-                    &fact,
-                );
-                sweep(
-                    kernel,
                     AxisSrc::Bricked(bricked.for_axis(fact.principal)),
-                    &fact,
-                );
+                ] {
+                    for profile in [false, true] {
+                        let opts = CompositeOpts {
+                            profile,
+                            ..Default::default()
+                        };
+                        let scalar = SimdKernel::Scalar;
+                        let (want, _) = run_span_scene(scalar, src, &fact, &opts, &start);
+                        let (got, _) = run_span_scene(kernel, src, &fact, &opts, &start);
+                        assert!(want.iter().any(|st| st.voxels_fetched > 0));
+                        for (step, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(g, w, "{}: step {step}", kernel.name());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scenes [`span_kernels_match_the_scalar_reference`] draws: voxel
+    /// scanlines built run by run to hit what phantoms rarely do, and an
+    /// image whose rows already carry light and opaque stretches.
+    struct SpanScene {
+        rng: proptest::test_runner::TestRng,
+    }
+
+    impl SpanScene {
+        fn next(&mut self) -> u64 {
+            self.rng.next_u64()
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f32 {
+            (self.next() >> 40) as f32 / (1u64 << 24) as f32
+        }
+
+        /// One voxel scanline: stored runs of 1, 2, a few, and more than a
+        /// run byte (the zero-length transparent split) between gaps of 1
+        /// (a span must bridge it when the fractional weight is positive),
+        /// a few, and more than a run byte (the zero-length stored split
+        /// the traversal reports as coverage). `low_alpha` keeps pixels
+        /// from saturating, so long runs make spans longer than `SPAN`.
+        fn scanline(&mut self, n_i: usize, low_alpha: bool) -> Vec<RgbaVoxel> {
+            let mut line = Vec::with_capacity(n_i);
+            let mut stored = self.below(2) == 0;
+            while line.len() < n_i {
+                let len = match (stored, self.below(6)) {
+                    (_, 0) => 1,
+                    (true, 1) => 2,
+                    (_, 2) => 256 + self.below(300),
+                    (false, 3) if self.below(4) == 0 => 510,
+                    _ => 2 + self.below(40),
+                };
+                for _ in 0..len.min(n_i - line.len()) {
+                    let a = if !stored {
+                        0
+                    } else if low_alpha {
+                        1 + self.below(6) as u8
+                    } else {
+                        1 + self.below(255) as u8
+                    };
+                    line.push(RgbaVoxel {
+                        r: self.below(a as usize + 1) as u8,
+                        g: self.below(a as usize + 1) as u8,
+                        b: a / 2,
+                        a,
+                    });
+                }
+                stored = !stored;
+            }
+            line
+        }
+
+        /// An image with light already in it, and per row single opaque
+        /// pixels and a long opaque stretch, some of the links compressed.
+        fn image(&mut self, w: usize, h: usize) -> IntermediateImage {
+            let mut img = IntermediateImage::new(w, h);
+            for p in img.pix.iter_mut() {
+                let a = 0.9 * self.unit();
+                *p = IPixel {
+                    r: a * self.unit(),
+                    g: a * self.unit(),
+                    b: a * self.unit(),
+                    a,
+                };
+            }
+            for y in 0..h {
+                let mut row = img.row_view(y);
+                for _ in 0..self.below(4) {
+                    row.mark_opaque(self.below(w), &mut NullTracer);
+                }
+                if self.below(2) == 0 {
+                    let lo = self.below(w);
+                    let hi = (lo + 1 + self.below(w / 2 + 1)).min(w);
+                    for x in lo..hi {
+                        row.mark_opaque(x, &mut NullTracer);
+                    }
+                    if self.below(2) == 0 {
+                        row.next_unopaque(lo, &mut NullTracer);
+                    }
+                }
+            }
+            img
+        }
+    }
+
+    /// Every `(scanline, slice)` step of one scene through `kernel`: the
+    /// per-step books, and the image left behind (pixels and skip links).
+    fn run_span_scene(
+        kernel: SimdKernel,
+        src: AxisSrc<'_>,
+        fact: &Factorization,
+        opts: &CompositeOpts,
+        start: &IntermediateImage,
+    ) -> (Vec<ScanlineSliceStats>, IntermediateImage) {
+        let mut img = start.clone();
+        let mut books = Vec::new();
+        let mut pin = BrickRowPin::new(src);
+        for y in 0..img.height() {
+            let mut row = img.row_view(y);
+            for m in 0..fact.slice_count() {
+                let k = fact.slice_for_step(m);
+                let t = &mut NullTracer;
+                books.push(pinned_kernel_for::<_, true>(
+                    kernel, &mut pin, fact, &mut row, k, opts, t,
+                ));
+            }
+        }
+        (books, img)
+    }
+
+    proptest::proptest! {
+        /// Spans are invisible: on every rung the host runs, pixels, skip
+        /// links and the per-step books equal the scalar reference's — over
+        /// scanline pairs built run by run (see [`SpanScene::scanline`]),
+        /// zero-threshold encodings (stored all-zero voxels: a fetch is
+        /// counted from the run walk, not the bytes), image rows off either
+        /// edge of the volume (absent row A, absent row B), integral,
+        /// fractional and vanishing offsets (`i0 = −1` at the first pixel; a
+        /// weight product that underflows while the fractional weight is
+        /// positive), odd widths narrower and wider than the scanlines, rows
+        /// that start with opaque pixels and stretches, depth cueing and
+        /// early termination on and off, both projections, flat and pinned
+        /// bricked sources.
+        #[test]
+        fn span_kernels_match_the_scalar_reference(
+            seed in 0u32..u32::MAX,
+            n_i in 2usize..640,
+            width in 1usize..700,
+            u_pick in 0usize..7,
+            v_pick in 0usize..7,
+            flags in 0u32..64,
+        ) {
+            let [perspective, zero_threshold, no_termination, cued, bricked, low_alpha] =
+                [0, 1, 2, 3, 4, 5].map(|b| flags >> b & 1 == 1);
+            let rng = proptest::test_runner::TestRng::for_case("span scene", seed);
+            let mut scene = SpanScene { rng };
+            let dims = [n_i, 3, 3];
+            let mut vox = Vec::new();
+            for _ in 0..dims[1] * dims[2] {
+                if scene.below(8) == 0 {
+                    vox.extend(vec![RgbaVoxel::TRANSPARENT; n_i]);
+                } else {
+                    vox.extend(scene.scanline(n_i, low_alpha));
+                }
+            }
+            let classified = ClassifiedVolume::from_raw(dims, vox);
+            let rle = RleEncoding::encode(&classified, Axis::Z, !zero_threshold as u8);
+            let bricks = swr_volume::BrickedEncoding::from_flat(&rle, 1 + scene.below(40));
+            let src = if bricked { AxisSrc::Bricked(&bricks) } else { AxisSrc::Flat(&rle) };
+
+            // Integral, the smallest and a small positive fractional weight
+            // (`−1e-45` is `f32`'s least denormal: halved by a row weight of
+            // ½ it underflows to zero), ½, anything, and scanlines that
+            // start left of the image.
+            let u_off = match u_pick {
+                0 => 0.0,
+                1 => 2.0,
+                2 => -1e-45,
+                3 => -1e-30,
+                4 => 0.5,
+                5 => scene.unit() as f64 * 3.0,
+                _ => -(scene.unit() as f64) * n_i as f64 * 0.5,
+            };
+            let v_off = match v_pick {
+                0 => 0.0,
+                1 => 1.0,
+                2 | 3 => -0.5,
+                4 => -1e-30,
+                _ => scene.unit() as f64 * 3.0 - 1.0,
+            };
+            let mut view = ViewSpec::new(dims);
+            if perspective {
+                view = view.with_perspective(2.0 * n_i as f64 + 8.0);
+            }
+            let mut fact = Factorization::from_view(&view);
+            prop_assert_eq!(fact.principal, Axis::Z);
+            match &mut fact.persp {
+                // The kernel reads the slice transforms only: put the eye
+                // close, so that the slices' scales differ (1, and down to
+                // 0.6), and the image origin where this case wants it.
+                Some(p) => {
+                    (p.k0, p.eye_std.z) = (0.0, -[3.0, 10.0, 80.0][scene.below(3)]);
+                    (p.off_u, p.off_v) = (u_off, v_off);
+                }
+                None => (fact.trans_i, fact.trans_j) = (u_off, v_off),
+            }
+            let opts = CompositeOpts {
+                early_termination: !no_termination,
+                profile: seed & 1 == 1,
+                depth_cue: cued.then_some(DepthCue { front: 1.0, per_slice: 0.07 }),
+                ..Default::default()
+            };
+            let start = scene.image(width, dims[1] + 3);
+
+            let (books, img) = run_span_scene(SimdKernel::Scalar, src, &fact, &opts, &start);
+            let rungs = [SimdKernel::Sse2, SimdKernel::Avx2, SimdKernel::Neon];
+            for kernel in rungs.into_iter().filter(|k| k.available()) {
+                let (got_books, got) = run_span_scene(kernel, src, &fact, &opts, &start);
+                for (step, (g, w)) in got_books.iter().zip(&books).enumerate() {
+                    prop_assert_eq!(g, w, "{}: books of step {}", kernel.name(), step);
+                }
+                for (i, (g, w)) in got.pix.iter().zip(&img.pix).enumerate() {
+                    let (x, y) = (i % width, i / width);
+                    prop_assert_eq!(g, w, "{}: pixel ({}, {})", kernel.name(), x, y);
+                }
+                prop_assert_eq!(&got.skip, &img.skip, "{}: skip links", kernel.name());
             }
         }
     }
